@@ -8,6 +8,7 @@
 //! ExecManager." (§II-B3)
 
 use crate::cancel::CancelToken;
+use crate::event::{Event, SAFETY_WAIT};
 use crate::execmanager::{self, ExecManagerConfig, RtsPools, RtsSlot};
 use crate::messages::{self, component, QueueNamespace};
 use crate::profiler::{OverheadReport, Profiler, PythonEmulation};
@@ -270,8 +271,7 @@ pub struct AppManagerConfig {
     /// operation and one sync round-trip per batch instead of per task.
     /// Disable to fall back to the paper's per-task data path.
     pub batched: bool,
-    /// ExecManager tuning: poll intervals and the maximum batch size used
-    /// by every batched component loop.
+    /// The maximum batch size used by every batched component loop.
     pub exec_manager: ExecManagerConfig,
     /// Wire-side trace hops stamped before the run started (gateway receive,
     /// parse, admission, journal append). Every per-task timeline is seeded
@@ -313,7 +313,7 @@ impl AppManagerConfig {
         self
     }
 
-    /// Builder: ExecManager poll/batch tuning.
+    /// Builder: batch-size tuning of the component loops.
     pub fn with_exec_manager(mut self, cfg: ExecManagerConfig) -> Self {
         self.exec_manager = cfg;
         self
@@ -419,8 +419,14 @@ pub(crate) struct Ctx {
     pub recorder: Recorder,
     /// Transactional state journal.
     pub store: Option<StateStore>,
-    /// Global run flag; components exit when cleared.
+    /// Global run flag; components exit when cleared (see [`Ctx::stop`]).
     pub running: AtomicBool,
+    /// Fired when a transition can open work or end the run (see
+    /// `synchronizer::apply_task`), on cancellation, and on stop. Enqueue
+    /// and the main wait loop block on it.
+    pub progress: Arc<Event>,
+    /// Fired once, on stop: wakes the Heartbeat and any other timed sleep.
+    pub halt: Event,
     /// Default task retry budget.
     pub default_retries: Option<u32>,
     /// Fatal error raised by a component (stops the run).
@@ -434,8 +440,7 @@ pub(crate) struct Ctx {
     pub strategy: ExecutionStrategy,
     /// Batched data path toggle (see [`AppManagerConfig::batched`]).
     pub batched: bool,
-    /// ExecManager poll/batch tuning, also used by the batched WFProcessor
-    /// and Synchronizer loops.
+    /// Batch-size tuning shared by every batched component loop.
     pub exec: ExecManagerConfig,
     /// One lock per subcomponent serializing the publish→ack window on that
     /// component's ack queue: two RTS Callback threads (multi-pool runs)
@@ -472,6 +477,8 @@ impl Ctx {
         base_trace: Option<entk_observe::TraceCtx>,
         trace_store: Option<Arc<entk_observe::TraceStore>>,
     ) -> Arc<Self> {
+        let progress = Arc::new(Event::default());
+        cancel.watch(&progress);
         Arc::new(Ctx {
             broker,
             ns,
@@ -481,6 +488,8 @@ impl Ctx {
             recorder,
             store,
             running: AtomicBool::new(true),
+            progress,
+            halt: Event::default(),
             default_retries,
             fatal: Mutex::new(None),
             in_flight: std::sync::atomic::AtomicUsize::new(0),
@@ -517,6 +526,8 @@ impl Ctx {
             recorder: Recorder::disabled(),
             store: None,
             running: AtomicBool::new(true),
+            progress: Arc::new(Event::default()),
+            halt: Event::default(),
             default_retries: retries,
             fatal: Mutex::new(None),
             in_flight: std::sync::atomic::AtomicUsize::new(0),
@@ -564,10 +575,8 @@ impl Ctx {
         }
         let ack_queue = self.ns.ack(comp);
         loop {
-            match self
-                .broker
-                .get_timeout(&ack_queue, Duration::from_millis(100))
-            {
+            // The ack arrives, or teardown deletes the ack queue (`Err`).
+            match self.broker.get_timeout(&ack_queue, SAFETY_WAIT) {
                 Ok(Some(d)) => {
                     let _ = self.broker.ack(&ack_queue, d.tag);
                     let (acked_uid, ok) = messages::parse_ack(&d.message);
@@ -638,10 +647,7 @@ impl Ctx {
         let mut results: Vec<bool> = Vec::with_capacity(uids.len());
         while results.len() < uids.len() {
             let want = uids.len() - results.len();
-            match self
-                .broker
-                .get_batch(&ack_queue, want, Duration::from_millis(100))
-            {
+            match self.broker.get_batch(&ack_queue, want, SAFETY_WAIT) {
                 Ok(batch) if !batch.is_empty() => {
                     let boundary = batch.last().expect("non-empty").tag;
                     for d in &batch {
@@ -705,7 +711,33 @@ impl Ctx {
     /// Record a fatal condition and stop the run.
     pub(crate) fn fail_fatal(&self, reason: String) {
         *self.fatal.lock() = Some(reason);
+        self.stop();
+    }
+
+    /// Stop the run: clear the run flag, then fire both wake-up events.
+    /// Waiters read an event's generation *before* checking `running`, so
+    /// none of them can miss this.
+    pub(crate) fn stop(&self) {
         self.running.store(false, Ordering::Release);
+        self.progress.notify();
+        self.halt.notify();
+    }
+
+    /// Block until `progress` moves past `seen` (read before the caller
+    /// checked its condition).
+    pub(crate) fn wait_progress(&self, seen: u64) {
+        self.progress.wait_past(seen, Instant::now() + SAFETY_WAIT);
+    }
+
+    /// Sleep for `d` unless the run stops first; returns whether the run is
+    /// still going.
+    pub(crate) fn pause(&self, d: Duration) -> bool {
+        let deadline = Instant::now() + d;
+        let mut seen = self.halt.generation();
+        while self.running.load(Ordering::Acquire) && Instant::now() < deadline {
+            seen = self.halt.wait_past(seen, deadline);
+        }
+        self.running.load(Ordering::Acquire)
     }
 }
 
@@ -1035,14 +1067,9 @@ impl AppManager {
                 std::thread::Builder::new()
                     .name("entk-chaos".into())
                     .spawn(move || {
-                        let deadline = Instant::now() + delay;
-                        while Instant::now() < deadline {
-                            if !ctx_chaos.running.load(Ordering::Acquire) {
-                                return;
-                            }
-                            std::thread::sleep(Duration::from_millis(2));
+                        if ctx_chaos.pause(delay) {
+                            slot.slot.read().0.kill();
                         }
-                        slot.slot.read().0.kill();
                     })
                     .expect("spawn chaos thread"),
             );
@@ -1053,6 +1080,9 @@ impl AppManager {
         let mut timed_out = false;
         let mut canceled = false;
         loop {
+            // Read the generation before the checks: whatever completes,
+            // cancels or stops the run after this point fires `progress`.
+            let seen = ctx.progress.generation();
             if ctx.workflow.lock().is_complete() {
                 break;
             }
@@ -1073,35 +1103,18 @@ impl AppManager {
                 timed_out = true;
                 break;
             }
-            std::thread::sleep(Duration::from_millis(2));
+            ctx.progress
+                .wait_past(seen, deadline.min(Instant::now() + SAFETY_WAIT));
         }
 
         // ---- Tear-down (measured as EnTK Tear-Down Overhead) ------------
         let teardown_start = Instant::now();
         let teardown_span = recorder.span(components::AMGR, "teardown");
-        ctx.running.store(false, Ordering::Release);
-        for h in handles {
-            let _ = h.join();
-        }
-        let mut records = Vec::new();
-        let mut rts_teardown = Duration::ZERO;
-        let mut leased_any = false;
-        for slot in &pools.pools {
-            leased_any |= slot.is_leased();
-            records.extend(slot.all_records());
-            rts_teardown += slot.final_teardown();
-        }
-        if leased_any {
-            // A leased RTS accumulates unit records across every session it
-            // served; keep only this workflow's units (task uid == unit tag,
-            // and uids are process-global unique).
-            let wf = ctx.workflow.lock();
-            records.retain(|r| wf.task(&r.tag).is_some());
-        }
-        ctx.profiler.set_rts_teardown(rts_teardown);
-        // Wall time summed across pools and incarnations; back-dated
-        // duration event rather than a live span.
-        recorder.record_duration(components::AMGR, "rts_teardown", "", "", rts_teardown);
+        // Wake every component before joining it: `stop` fires the progress
+        // and halt events (Enqueue, Heartbeat, a canceled Emgr), removing
+        // the queues ends every blocked broker wait, and the RTS waker ends
+        // each Callback thread's receive.
+        ctx.stop();
         if shared_broker {
             // The broker belongs to the service and keeps serving other
             // sessions; remove only this session's queues.
@@ -1111,6 +1124,26 @@ impl AppManager {
         } else {
             ctx.broker.close();
         }
+        for slot in &pools.pools {
+            slot.slot.read().0.wake_callbacks();
+        }
+        for h in handles {
+            let _ = h.join();
+        }
+        let mut records = Vec::new();
+        let mut rts_teardown = Duration::ZERO;
+        {
+            // Task uid == unit tag, and uids are process-global unique.
+            let wf = ctx.workflow.lock();
+            for slot in &pools.pools {
+                records.extend(slot.take_records(|tag| wf.task(tag).is_some()));
+                rts_teardown += slot.final_teardown();
+            }
+        }
+        ctx.profiler.set_rts_teardown(rts_teardown);
+        // Wall time summed across pools and incarnations; back-dated
+        // duration event rather than a live span.
+        recorder.record_duration(components::AMGR, "rts_teardown", "", "", rts_teardown);
         drop(teardown_span);
         ctx.profiler.set_teardown(teardown_start.elapsed());
         recorder.record(components::AMGR, "run_end", "", "");
@@ -1370,12 +1403,7 @@ mod tests {
     #[test]
     fn batched_path_is_the_default() {
         assert!(AppManagerConfig::new(ResourceDescription::local(1)).batched);
-        let cfg = ExecManagerConfig::default();
-        assert_eq!(cfg.max_batch, 256);
-        assert_eq!(cfg.pending_timeout, Duration::from_millis(20));
-        assert_eq!(cfg.callback_timeout, Duration::from_millis(20));
-        assert_eq!(cfg.cancel_poll, Duration::from_millis(2));
-        assert_eq!(cfg.reconnect_sleep, Duration::from_millis(10));
+        assert_eq!(ExecManagerConfig::default().max_batch, 256);
     }
 
     #[test]

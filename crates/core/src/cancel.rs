@@ -6,15 +6,25 @@
 //! components observe the token at their loop boundaries, stop scheduling
 //! and submitting new work, and the AppManager settles every in-flight task
 //! to `Canceled` so the run completes promptly instead of blocking until its
-//! timeout.
+//! timeout. Cancelling also fires the wake-up event of every run watching
+//! the token, so a run blocked waiting for progress reacts at once.
 
+use crate::event::Event;
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// A shared cancellation flag. Cloning shares the flag.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
-    flag: Arc<AtomicBool>,
+    inner: Arc<Inner>,
+}
+
+#[derive(Debug, Default)]
+struct Inner {
+    flag: AtomicBool,
+    /// Events of the runs watching this token, fired on `cancel`.
+    watchers: Mutex<Vec<Weak<Event>>>,
 }
 
 impl CancelToken {
@@ -25,12 +35,25 @@ impl CancelToken {
 
     /// Request cancellation. Idempotent.
     pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
+        self.inner.flag.store(true, Ordering::Release);
+        for watcher in self.inner.watchers.lock().iter() {
+            if let Some(event) = watcher.upgrade() {
+                event.notify();
+            }
+        }
     }
 
     /// Whether cancellation has been requested.
     pub fn is_canceled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
+        self.inner.flag.load(Ordering::Acquire)
+    }
+
+    /// Fire `event` whenever this token is canceled (from now on). Watchers
+    /// of finished runs are pruned here.
+    pub(crate) fn watch(&self, event: &Arc<Event>) {
+        let mut watchers = self.inner.watchers.lock();
+        watchers.retain(|w| w.strong_count() > 0);
+        watchers.push(Arc::downgrade(event));
     }
 }
 
@@ -47,5 +70,15 @@ mod tests {
         assert!(t.is_canceled());
         t.cancel(); // idempotent
         assert!(t2.is_canceled());
+    }
+
+    #[test]
+    fn cancel_fires_watching_events() {
+        let t = CancelToken::new();
+        let event = Arc::new(Event::default());
+        t.watch(&event);
+        let seen = event.generation();
+        t.clone().cancel();
+        assert!(event.generation() > seen);
     }
 }

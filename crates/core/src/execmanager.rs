@@ -16,9 +16,9 @@
 //!   CI failure) while work remains.
 
 use crate::appmanager::Ctx;
+use crate::event::SAFETY_WAIT;
 use crate::messages::{self, component, AttemptOutcome};
 use crate::states::TaskState;
-use crossbeam::channel::RecvTimeoutError;
 use entk_mq::Message;
 use entk_observe::{components as obs, hops};
 use parking_lot::{Mutex, RwLock};
@@ -31,21 +31,12 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// ExecManager tuning: poll intervals of the Emgr and RTS Callback loops
-/// plus the maximum batch size used by every batched component loop
-/// (Enqueue, Emgr, Callback, Dequeue, Synchronizer). The defaults are the
-/// values the loops previously hard-coded.
+/// ExecManager tuning: the maximum batch size used by every batched
+/// component loop (Enqueue, Emgr, Callback, Dequeue, Synchronizer). The
+/// loops themselves have no poll intervals to tune: every wait ends on an
+/// event (see DESIGN.md, "Who wakes whom").
 #[derive(Debug, Clone)]
 pub struct ExecManagerConfig {
-    /// How long the Emgr sleeps between polls while the run is canceled.
-    pub cancel_poll: Duration,
-    /// Blocking timeout of one Pending-queue fetch.
-    pub pending_timeout: Duration,
-    /// Blocking timeout of one RTS callback-channel receive.
-    pub callback_timeout: Duration,
-    /// How long the RTS Callback sleeps when its channel is disconnected
-    /// (RTS died), waiting for the Heartbeat to install a new incarnation.
-    pub reconnect_sleep: Duration,
     /// Maximum tasks moved per batched operation.
     pub max_batch: usize,
     /// Optional live override of `max_batch`, shared with an external tuner
@@ -60,10 +51,6 @@ pub struct ExecManagerConfig {
 impl Default for ExecManagerConfig {
     fn default() -> Self {
         ExecManagerConfig {
-            cancel_poll: Duration::from_millis(2),
-            pending_timeout: Duration::from_millis(20),
-            callback_timeout: Duration::from_millis(20),
-            reconnect_sleep: Duration::from_millis(10),
             max_batch: 256,
             batch_knob: None,
         }
@@ -163,15 +150,14 @@ impl RtsSlot {
         }
     }
 
-    /// Whether the slot is (still) backed by a pool lease.
-    pub(crate) fn is_leased(&self) -> bool {
-        self.lease.lock().is_some()
-    }
-
-    /// All unit records across incarnations (archived + current).
-    pub(crate) fn all_records(&self) -> Vec<UnitRecord> {
-        let mut records = self.archived.lock().clone();
-        records.extend(self.slot.read().0.records());
+    /// This run's unit records across incarnations (archived + current).
+    /// The current incarnation hands back only the units `mine` selects by
+    /// tag and forgets them, so a leased pilot serving one session after
+    /// another never holds more than one session's units.
+    pub(crate) fn take_records(&self, mine: impl Fn(&str) -> bool) -> Vec<UnitRecord> {
+        let mut records = std::mem::take(&mut *self.archived.lock());
+        let rts = self.slot.read().0.clone();
+        records.extend(rts.release_units(mine));
         records
     }
 
@@ -283,31 +269,28 @@ struct PendingItem {
 }
 
 fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
-    let cfg = ctx.exec.clone();
     while ctx.running.load(Ordering::Acquire) {
         // Cooperative cancellation: stop submitting; queued messages become
         // stale once the cancel sweep settles their tasks and are dropped on
         // session teardown.
         if ctx.cancel.is_canceled() {
-            std::thread::sleep(cfg.cancel_poll);
+            ctx.pause(SAFETY_WAIT);
             continue;
         }
         // Read the (possibly tuner-driven) batch limit per iteration.
-        let max_batch = cfg.batch_limit();
-        // Collect a batch from the Pending queue.
+        let max_batch = ctx.exec.batch_limit();
+        // Collect a batch from the Pending queue; teardown deleting the
+        // queue (or closing the broker) ends the wait with `Err`.
         let batch = if ctx.batched {
             match ctx
                 .broker
-                .get_batch(ctx.ns.pending(), max_batch, cfg.pending_timeout)
+                .get_batch(ctx.ns.pending(), max_batch, SAFETY_WAIT)
             {
                 Ok(b) => b,
                 Err(_) => break,
             }
         } else {
-            match ctx
-                .broker
-                .get_timeout(ctx.ns.pending(), cfg.pending_timeout)
-            {
+            match ctx.broker.get_timeout(ctx.ns.pending(), SAFETY_WAIT) {
                 Ok(Some(d)) => {
                     let mut b = vec![d];
                     while b.len() < max_batch {
@@ -544,16 +527,20 @@ fn traced_done_message(ctx: &Ctx, cb: &UnitCallback) -> Message {
 }
 
 fn callback_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>) {
-    let cfg = ctx.exec.clone();
     while ctx.running.load(Ordering::Acquire) {
         let rts = slot.slot.read().0.clone();
-        match rts.callbacks().recv_timeout(cfg.callback_timeout) {
+        // Blocks until a unit event or an RTS wake-up: the Heartbeat wakes
+        // the old incarnation after swapping in a new one, teardown wakes
+        // the current one. A wake-up is a non-terminal callback, skipped
+        // below. The RTS keeps the waker's sender, so the channel never
+        // disconnects under us.
+        match rts.callbacks().recv_timeout(SAFETY_WAIT) {
             Ok(cb) if ctx.batched => {
                 // Coalesce whatever other completions are already waiting,
                 // then sync the whole batch with one round-trip and notify
                 // Dequeue with one batched publish.
                 let mut cbs = vec![cb];
-                while cbs.len() < cfg.batch_limit() {
+                while cbs.len() < ctx.exec.batch_limit() {
                     match rts.callbacks().try_recv() {
                         Ok(c) => cbs.push(c),
                         Err(_) => break,
@@ -600,11 +587,7 @@ fn callback_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>) {
                 drop(span);
                 ctx.profiler.add_management(t0.elapsed());
             }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => {
-                // The RTS died; wait for the Heartbeat to install a new one.
-                std::thread::sleep(cfg.reconnect_sleep);
-            }
+            Err(_) => continue,
         }
     }
 }
@@ -648,8 +631,8 @@ fn heartbeat_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>, is_primary: bool, interval:
     let metrics = ctx.recorder.metrics_arc();
     let checks = metrics.counter(&format!("heartbeat.checks.{}", slot.name));
     let last_check = metrics.gauge(&format!("heartbeat.last_check_ms.{}", slot.name));
-    while ctx.running.load(Ordering::Acquire) {
-        std::thread::sleep(interval);
+    // Check every `interval`; teardown's halt event cuts the wait short.
+    while ctx.pause(interval) {
         checks.incr();
         last_check.set((ctx.recorder.now_ns() / 1_000_000) as i64);
         if ctx.workflow.lock().is_complete() {
@@ -705,20 +688,29 @@ fn heartbeat_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>, is_primary: bool, interval:
         } else {
             // Full RTS failure: purge the dead incarnation and start a new
             // one (§II-B4).
-            slot.archived.lock().extend(rts.records());
+            let stale_lease = slot.lease.lock().take();
+            // A pool lease also ran other sessions' units: archive only
+            // this run's.
+            let dead = {
+                let wf = ctx.workflow.lock();
+                rts.release_units(|tag| wf.task(tag).is_some())
+            };
+            slot.archived.lock().extend(dead);
             let t0 = Instant::now();
-            if let Some(stale) = slot.lease.lock().take() {
-                // The dead incarnation was a pool lease: dropping it lets
-                // the pool health-check discard and tear it down.
-                drop(stale);
-            } else {
+            // Dropping a lease lets the pool health-check discard and tear
+            // down the dead incarnation.
+            if stale_lease.is_none() {
                 rts.teardown();
             }
+            drop(stale_lease);
             *slot.teardown_wall.lock() += t0.elapsed();
             let new_rts = Arc::new(RuntimeSystem::start(slot.rts_config.clone()));
             let new_pilot = new_rts.submit_pilot(&slot.pilot_desc);
             new_rts.wait_pilot_ready(new_pilot, Duration::from_secs(30));
-            *guard = (new_rts, new_pilot);
+            let old = std::mem::replace(&mut *guard, (new_rts, new_pilot)).0;
+            // The Callback thread may still block on the dead incarnation's
+            // channel: wake it so it picks up the new one.
+            old.wake_callbacks();
             ctx.recorder
                 .record(obs::HEARTBEAT, "rts_restarted", slot.name.clone(), "");
         }

@@ -45,6 +45,7 @@
 pub mod appmanager;
 pub mod cancel;
 pub mod errors;
+mod event;
 pub mod execmanager;
 pub mod messages;
 pub mod pipeline;

@@ -13,14 +13,15 @@
 //! workflow lock, journals every applied transition, and acknowledges the
 //! requester.
 
-use crate::appmanager::Ctx;
+use crate::appmanager::{Ctx, ExecutionStrategy};
+use crate::event::SAFETY_WAIT;
 use crate::messages::{self, parse_sync};
 use crate::states::{PipelineState, StageState, TaskState};
 use crate::uid::Kind;
 use entk_mq::Message;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Spawn the Synchronizer: one drainer thread per sync-queue shard. The
 /// sync plane is sharded per requesting component
@@ -71,13 +72,10 @@ pub(crate) fn spawn(ctx: Arc<Ctx>) -> std::thread::JoinHandle<()> {
 fn run_batched(ctx: Arc<Ctx>, sync_queue: &str) {
     while ctx.running.load(Ordering::Acquire) {
         let max_batch = ctx.exec.batch_limit();
-        let batch = match ctx
-            .broker
-            .get_batch(sync_queue, max_batch, Duration::from_millis(20))
-        {
+        let batch = match ctx.broker.get_batch(sync_queue, max_batch, SAFETY_WAIT) {
             Ok(b) if !b.is_empty() => b,
             Ok(_) => continue,
-            Err(_) => break, // broker closed: shutting down
+            Err(_) => break, // queue deleted or broker closed: shutting down
         };
         let t0 = Instant::now();
         let span = ctx
@@ -118,13 +116,10 @@ fn run_batched(ctx: Arc<Ctx>, sync_queue: &str) {
 
 fn run(ctx: Arc<Ctx>, sync_queue: &str) {
     while ctx.running.load(Ordering::Acquire) {
-        let delivery = match ctx
-            .broker
-            .get_timeout(sync_queue, Duration::from_millis(20))
-        {
+        let delivery = match ctx.broker.get_timeout(sync_queue, SAFETY_WAIT) {
             Ok(Some(d)) => d,
             Ok(None) => continue,
-            Err(_) => break, // broker closed: shutting down
+            Err(_) => break, // queue deleted or broker closed: shutting down
         };
         let t0 = Instant::now();
         let Some(req) = parse_sync(&delivery.message) else {
@@ -208,7 +203,11 @@ pub(crate) fn apply_task(ctx: &Ctx, uid: &str, state: TaskState) -> bool {
         _ => {}
     }
 
-    // Derive stage/pipeline consequences.
+    // Derive stage/pipeline consequences. `opens_work` marks transitions
+    // that can make a task schedulable or end the run: a task rejoining the
+    // pool, a settled stage (next stage, pipeline completion, cascaded
+    // cancellations), or — under a concurrency cap — a freed in-flight slot.
+    let mut opens_work = state == TaskState::Described;
     match state {
         TaskState::Scheduling => {
             let pipeline = &mut wf.pipelines_mut()[loc.pipeline];
@@ -244,20 +243,28 @@ pub(crate) fn apply_task(ctx: &Ctx, uid: &str, state: TaskState) -> bool {
             }
         }
         TaskState::Done | TaskState::Failed | TaskState::Canceled => {
-            settle_stage(ctx, &mut wf, loc.pipeline, loc.stage);
+            opens_work = settle_stage(ctx, &mut wf, loc.pipeline, loc.stage)
+                || ctx.strategy != ExecutionStrategy::Eager;
         }
         _ => {}
+    }
+    drop(wf);
+    if opens_work {
+        // Wake Enqueue and the main wait loop; the other transitions leave
+        // nothing new for them to act on.
+        ctx.progress.notify();
     }
     true
 }
 
 /// When all tasks of a stage are terminal, settle the stage and possibly the
-/// pipeline; runs `post_exec` hooks on success.
-fn settle_stage(ctx: &Ctx, wf: &mut crate::workflow::Workflow, p: usize, s: usize) {
+/// pipeline; runs `post_exec` hooks on success. Returns whether the stage
+/// settled.
+fn settle_stage(ctx: &Ctx, wf: &mut crate::workflow::Workflow, p: usize, s: usize) -> bool {
     let (stage_done, any_failed, any_canceled) = {
         let stage = &wf.pipelines()[p].stages()[s];
         if stage.state().is_terminal() {
-            return;
+            return false;
         }
         let mut any_failed = false;
         let mut any_canceled = false;
@@ -276,7 +283,7 @@ fn settle_stage(ctx: &Ctx, wf: &mut crate::workflow::Workflow, p: usize, s: usiz
         (all_terminal, any_failed, any_canceled)
     };
     if !stage_done {
-        return;
+        return false;
     }
 
     let next_stage_state = if any_failed {
@@ -293,7 +300,7 @@ fn settle_stage(ctx: &Ctx, wf: &mut crate::workflow::Workflow, p: usize, s: usiz
     {
         let stage = &mut pipeline.stages_mut()[s];
         if stage.advance(next_stage_state).is_err() {
-            return;
+            return false;
         }
     }
     ctx.journal("stage", &stage_uid, "", next_stage_state.name());
@@ -329,6 +336,7 @@ fn settle_stage(ctx: &Ctx, wf: &mut crate::workflow::Workflow, p: usize, s: usiz
         }
         _ => unreachable!("settle states are terminal"),
     }
+    true
 }
 
 /// A failed/canceled pipeline poisons every pipeline depending on it: those

@@ -7,13 +7,14 @@
 //! requirements (§II-A), resubmits failed tasks within their retry budget.
 
 use crate::appmanager::{Ctx, ExecutionStrategy};
+use crate::event::SAFETY_WAIT;
 use crate::messages::{self, component, AttemptOutcome};
 use crate::states::TaskState;
 use entk_mq::Message;
 use entk_observe::{components as obs, hops, TraceCtx};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Spawn the Enqueue thread.
 pub(crate) fn spawn_enqueue(ctx: Arc<Ctx>) -> std::thread::JoinHandle<()> {
@@ -32,16 +33,22 @@ pub(crate) fn spawn_dequeue(ctx: Arc<Ctx>) -> std::thread::JoinHandle<()> {
 }
 
 fn enqueue_loop(ctx: Arc<Ctx>) {
-    while ctx.running.load(Ordering::Acquire) {
+    loop {
+        // Read the generation before looking for work: a transition that
+        // opens work (or a stop) after this point ends the wait below.
+        let seen = ctx.progress.generation();
+        if !ctx.running.load(Ordering::Acquire) {
+            return;
+        }
         // Cooperative cancellation: stop tagging new work; the AppManager's
         // cancel sweep settles everything already in flight.
         if ctx.cancel.is_canceled() {
-            std::thread::sleep(Duration::from_millis(2));
+            ctx.pause(SAFETY_WAIT);
             continue;
         }
         let ready = ctx.workflow.lock().schedulable_tasks();
         if ready.is_empty() {
-            std::thread::sleep(Duration::from_millis(2));
+            ctx.wait_progress(seen);
             continue;
         }
         let t0 = Instant::now();
@@ -72,6 +79,7 @@ fn enqueue_batched(ctx: &Ctx, ready: &[String]) -> bool {
     let max_batch = ctx.exec.batch_limit();
     let mut idx = 0;
     while idx < ready.len() {
+        let seen = ctx.progress.generation();
         if !ctx.running.load(Ordering::Acquire) || ctx.cancel.is_canceled() {
             return false;
         }
@@ -80,7 +88,8 @@ fn enqueue_batched(ctx: &Ctx, ready: &[String]) -> bool {
             .load(Ordering::Relaxed)
             .saturating_sub(ctx.in_flight.load(Ordering::Relaxed));
         if free == 0 {
-            std::thread::sleep(Duration::from_micros(200));
+            // Under a cap every settled task fires `progress`.
+            ctx.wait_progress(seen);
             continue;
         }
         let chunk = &ready[idx..(idx + free.min(max_batch)).min(ready.len())];
@@ -115,11 +124,15 @@ fn enqueue_per_task(ctx: &Ctx, ready: &[String]) -> bool {
         }
         // Execution-strategy throttle: hold the task back while the
         // in-flight count sits at the concurrency cap.
-        while ctx.in_flight.load(Ordering::Relaxed) >= ctx.concurrency_cap.load(Ordering::Relaxed) {
+        loop {
+            let seen = ctx.progress.generation();
             if !ctx.running.load(Ordering::Acquire) || ctx.cancel.is_canceled() {
                 return false;
             }
-            std::thread::sleep(Duration::from_micros(200));
+            if ctx.in_flight.load(Ordering::Relaxed) < ctx.concurrency_cap.load(Ordering::Relaxed) {
+                break;
+            }
+            ctx.wait_progress(seen);
         }
         // Tag for execution, then make visible to the Emgr. `Scheduled`
         // is synchronized *before* the publish so the Emgr can never see
@@ -160,15 +173,11 @@ fn dequeue_loop(ctx: Arc<Ctx>) {
     while ctx.running.load(Ordering::Acquire) {
         if ctx.batched {
             let max_batch = ctx.exec.batch_limit();
-            let batch =
-                match ctx
-                    .broker
-                    .get_batch(ctx.ns.done(), max_batch, Duration::from_millis(20))
-                {
-                    Ok(b) if !b.is_empty() => b,
-                    Ok(_) => continue,
-                    Err(_) => break,
-                };
+            let batch = match ctx.broker.get_batch(ctx.ns.done(), max_batch, SAFETY_WAIT) {
+                Ok(b) if !b.is_empty() => b,
+                Ok(_) => continue,
+                Err(_) => break, // queue deleted or broker closed
+            };
             let t0 = Instant::now();
             let span = ctx
                 .recorder
@@ -185,13 +194,10 @@ fn dequeue_loop(ctx: Arc<Ctx>) {
             drop(span);
             ctx.profiler.add_management(t0.elapsed());
         } else {
-            let delivery = match ctx
-                .broker
-                .get_timeout(ctx.ns.done(), Duration::from_millis(20))
-            {
+            let delivery = match ctx.broker.get_timeout(ctx.ns.done(), SAFETY_WAIT) {
                 Ok(Some(d)) => d,
                 Ok(None) => continue,
-                Err(_) => break,
+                Err(_) => break, // queue deleted or broker closed
             };
             let t0 = Instant::now();
             let (uid, outcome) = messages::parse_done(&delivery.message);

@@ -771,6 +771,12 @@ fn spawn_depth_sampler(
                         .gauge(&format!("mq.queue.{name}.dequeue_rate"))
                         .set(rate);
                     last.insert(name.clone(), (stats.delivered, now));
+                    // A delete closes the queue *before* dropping its
+                    // gauges; checking after the writes above means a
+                    // delete racing this sample can never leave them behind.
+                    if handle.is_closed() {
+                        metrics.remove_gauges_with_prefix(&format!("mq.queue.{name}."));
+                    }
                 }
                 // Drop rate state for queues that no longer exist.
                 let alive: std::collections::HashSet<&str> =
@@ -875,6 +881,7 @@ mod tests {
 
     #[test]
     fn durable_messages_survive_recovery() {
+        let _g = entk_fail::scenario();
         let path = tmp_journal("recover");
         {
             let b = Broker::with_config(BrokerConfig {
@@ -899,6 +906,7 @@ mod tests {
 
     #[test]
     fn trace_headers_survive_crash_recovery_redelivery() {
+        let _g = entk_fail::scenario();
         let path = tmp_journal("trace_recover");
         let ctx = entk_observe::TraceCtx::new("task.0007")
             .with_hop("enq", entk_observe::hops::ENQUEUE, 1_000)
@@ -932,6 +940,7 @@ mod tests {
 
     #[test]
     fn recovery_of_empty_durable_queue() {
+        let _g = entk_fail::scenario();
         let path = tmp_journal("empty");
         {
             let b = Broker::with_config(BrokerConfig {
@@ -949,6 +958,7 @@ mod tests {
 
     #[test]
     fn non_persistent_messages_not_recovered() {
+        let _g = entk_fail::scenario();
         let path = tmp_journal("nonpersistent");
         {
             let b = Broker::with_config(BrokerConfig {
@@ -1182,6 +1192,7 @@ mod tests {
     /// ack, must recover exactly the unacked remainder in publish order.
     #[test]
     fn durable_partially_acked_batch_recovers_remainder() {
+        let _g = entk_fail::scenario();
         let path = tmp_journal("partial-batch");
         {
             let b = Broker::with_config(BrokerConfig {
@@ -1209,6 +1220,7 @@ mod tests {
 
     #[test]
     fn batch_publish_journals_only_persistent_messages() {
+        let _g = entk_fail::scenario();
         let path = tmp_journal("mixed-batch");
         {
             let b = Broker::with_config(BrokerConfig {
@@ -1245,6 +1257,7 @@ mod tests {
     /// it) and tombstoned unacked entries could alias it.
     #[test]
     fn recovered_broker_does_not_reuse_journaled_tags() {
+        let _g = entk_fail::scenario();
         let path = tmp_journal("tag-continuity");
         {
             let b = Broker::with_config(BrokerConfig {
@@ -1565,6 +1578,7 @@ mod tests {
 
     #[test]
     fn sharded_durable_broker_records_per_shard_fsync_histograms() {
+        let _g = entk_fail::scenario();
         let path = tmp_journal("shard-fsync-metrics");
         cleanup_segments(&path);
         let rec = Recorder::new();
@@ -1607,6 +1621,7 @@ mod tests {
 
     #[test]
     fn with_shards_one_keeps_legacy_single_file_layout() {
+        let _g = entk_fail::scenario();
         let path = tmp_journal("one-shard");
         cleanup_segments(&path);
         {
@@ -1634,6 +1649,7 @@ mod tests {
 
     #[test]
     fn sharded_durable_recovery_merges_all_segments() {
+        let _g = entk_fail::scenario();
         let path = tmp_journal("sharded-recover");
         cleanup_segments(&path);
         const QUEUES: usize = 8;
@@ -1690,6 +1706,7 @@ mod tests {
     /// single-shard broker whose new appends go to the base file only).
     #[test]
     fn recovery_survives_shard_count_changes() {
+        let _g = entk_fail::scenario();
         let path = tmp_journal("reshard");
         cleanup_segments(&path);
         let cfg = |shards: usize| {
@@ -1754,6 +1771,7 @@ mod tests {
 
     #[test]
     fn sharded_stats_report_journal_bytes_once() {
+        let _g = entk_fail::scenario();
         let path = tmp_journal("stats-bytes");
         cleanup_segments(&path);
         let b = Broker::with_config(

@@ -600,6 +600,7 @@ mod tests {
 
     #[test]
     fn roundtrip_publish_ack() {
+        let _g = entk_fail::scenario();
         let p = tmp("roundtrip");
         let j = Journal::open(&p).unwrap();
         j.append(&JournalRecord::Declare {
@@ -633,6 +634,7 @@ mod tests {
 
     #[test]
     fn headers_survive_replay() {
+        let _g = entk_fail::scenario();
         let p = tmp("headers");
         let j = Journal::open(&p).unwrap();
         let mut headers = BTreeMap::new();
@@ -653,6 +655,7 @@ mod tests {
 
     #[test]
     fn truncated_tail_is_tolerated() {
+        let _g = entk_fail::scenario();
         let p = tmp("trunc");
         let j = Journal::open(&p).unwrap();
         j.append(&publish_rec("q", 1, "complete")).unwrap();
@@ -671,6 +674,7 @@ mod tests {
 
     #[test]
     fn unknown_kind_is_corruption() {
+        let _g = entk_fail::scenario();
         let p = tmp("corrupt");
         std::fs::write(&p, [0xFFu8, 0, 0, 0, 0]).unwrap();
         assert!(matches!(
@@ -682,6 +686,7 @@ mod tests {
 
     #[test]
     fn acks_for_unknown_queue_ignored() {
+        let _g = entk_fail::scenario();
         let p = tmp("ackq");
         let j = Journal::open(&p).unwrap();
         j.append(&JournalRecord::Ack {
@@ -697,6 +702,7 @@ mod tests {
 
     #[test]
     fn append_all_replays_like_individual_appends() {
+        let _g = entk_fail::scenario();
         let p = tmp("batch");
         let j = Journal::open(&p).unwrap();
         j.append_all(&[
@@ -722,6 +728,7 @@ mod tests {
 
     #[test]
     fn scan_reports_max_tags_including_acked() {
+        let _g = entk_fail::scenario();
         let p = tmp("maxtags");
         let j = Journal::open(&p).unwrap();
         j.append_all(&[
@@ -753,6 +760,7 @@ mod tests {
 
     #[test]
     fn scan_records_orphan_acks_for_cross_segment_publishes() {
+        let _g = entk_fail::scenario();
         let p = tmp("orphan-acks");
         let j = Journal::open(&p).unwrap();
         j.append_all(&[
@@ -783,6 +791,7 @@ mod tests {
 
     #[test]
     fn merge_applies_cross_segment_acks_and_unions_floors() {
+        let _g = entk_fail::scenario();
         let pa = tmp("merge-a");
         let pb = tmp("merge-b");
         let ja = Journal::open(&pa).unwrap();
@@ -831,6 +840,7 @@ mod tests {
 
     #[test]
     fn merge_sorts_live_messages_by_tag_within_queue() {
+        let _g = entk_fail::scenario();
         // Two segments interleave tags for the same queue (legacy file plus
         // a new shard segment); the merged replay must restore in tag
         // (= publish) order so FIFO redelivery is preserved.
@@ -856,6 +866,7 @@ mod tests {
 
     #[test]
     fn torn_tail_truncated_at_every_offset_of_last_record() {
+        let _g = entk_fail::scenario();
         let p = tmp("torn-every-offset");
         let j = Journal::open(&p).unwrap();
         j.append(&publish_rec("q", 1, "first")).unwrap();
@@ -937,6 +948,7 @@ mod tests {
 
     #[test]
     fn concurrent_appends_do_not_interleave() {
+        let _g = entk_fail::scenario();
         use std::sync::Arc;
         let p = tmp("concurrent");
         let j = Arc::new(Journal::open(&p).unwrap());

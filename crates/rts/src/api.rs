@@ -213,6 +213,23 @@ pub struct UnitCallback {
     pub trace: Option<entk_observe::TraceCtx>,
 }
 
+impl UnitCallback {
+    /// A wake-up that carries no unit (see
+    /// [`crate::RuntimeSystem::wake_callbacks`]): unit 0, empty tag, state
+    /// `New`. It is non-terminal, so consumers acting on terminal callbacks
+    /// skip it.
+    pub fn wake() -> Self {
+        UnitCallback {
+            unit: UnitId(0),
+            tag: String::new(),
+            state: UnitState::New,
+            outcome: None,
+            timestamp_secs: 0.0,
+            trace: None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

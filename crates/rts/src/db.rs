@@ -291,6 +291,26 @@ impl DocDb {
             .map_or(0, VecDeque::len)
     }
 
+    /// Unit documents currently held.
+    pub fn unit_docs(&self) -> usize {
+        self.store.lock().docs.len()
+    }
+
+    /// Forget units: drop their documents and agent-queue entries. This
+    /// only reclaims memory — it models documents expiring server-side
+    /// (a MongoDB TTL index), so it charges no round trip.
+    pub fn forget_units(&self, units: &[UnitId]) {
+        if units.is_empty() {
+            return;
+        }
+        let gone: std::collections::HashSet<UnitId> = units.iter().copied().collect();
+        let mut st = self.store.lock();
+        st.docs.retain(|id, _| !gone.contains(id));
+        for queue in st.queues.values_mut() {
+            queue.retain(|id| !gone.contains(id));
+        }
+    }
+
     /// All unit documents in a terminal state.
     pub fn terminal_units(&self) -> Vec<UnitDoc> {
         self.store
@@ -318,6 +338,20 @@ mod tests {
         assert_eq!(pulled, vec![UnitId(1), UnitId(2)]);
         assert_eq!(db.queued_for(0), 0);
         assert_eq!(db.pull_units(1, 1), vec![UnitId(3)]);
+    }
+
+    #[test]
+    fn forget_units_drops_documents_and_queue_entries() {
+        let db = DocDb::new(DbConfig::default());
+        for i in 1..=3 {
+            db.insert_unit(0, UnitId(i), format!("u{i}"));
+        }
+        let round_trips = db.op_count();
+        db.forget_units(&[UnitId(1), UnitId(3)]);
+        assert_eq!(db.unit_docs(), 1);
+        assert!(db.get(UnitId(1)).is_none());
+        assert_eq!(db.pull_units(0, 10), vec![UnitId(2)]);
+        assert_eq!(db.op_count(), round_trips + 1, "forgetting is free");
     }
 
     #[test]

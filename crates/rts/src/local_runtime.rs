@@ -48,6 +48,8 @@ struct State {
 pub struct LocalRuntime {
     work_tx: Mutex<Option<Sender<(UnitId, UnitDescription)>>>,
     callbacks_rx: Receiver<UnitCallback>,
+    /// Sender side kept for [`LocalRuntime::wake_callbacks`].
+    waker: Sender<UnitCallback>,
     state: Arc<Mutex<State>>,
     alive: Arc<AtomicBool>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -87,6 +89,7 @@ impl LocalRuntime {
         LocalRuntime {
             work_tx: Mutex::new(Some(work_tx)),
             callbacks_rx: cb_rx,
+            waker: cb_tx,
             state,
             alive,
             workers: Mutex::new(handles),
@@ -103,6 +106,12 @@ impl LocalRuntime {
     /// Callback stream.
     pub fn callbacks(&self) -> &Receiver<UnitCallback> {
         &self.callbacks_rx
+    }
+
+    /// Wake a thread blocked on [`LocalRuntime::callbacks`] with a
+    /// [`UnitCallback::wake`].
+    pub fn wake_callbacks(&self) {
+        let _ = self.waker.send(UnitCallback::wake());
     }
 
     /// Seconds since the runtime started (the local timeline).
@@ -166,6 +175,19 @@ impl LocalRuntime {
     /// Snapshot of all unit records.
     pub fn records(&self) -> Vec<UnitRecord> {
         self.state.lock().records.values().cloned().collect()
+    }
+
+    /// Hand back the records of the units `mine` selects by tag and forget
+    /// them.
+    pub fn release_units(&self, mine: impl Fn(&str) -> bool) -> Vec<UnitRecord> {
+        let mut st = self.state.lock();
+        let ids: Vec<UnitId> = st
+            .records
+            .iter()
+            .filter(|(_, r)| mine(&r.tag))
+            .map(|(id, _)| *id)
+            .collect();
+        ids.iter().filter_map(|id| st.records.remove(id)).collect()
     }
 }
 

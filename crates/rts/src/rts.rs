@@ -201,6 +201,17 @@ impl RuntimeSystem {
         }
     }
 
+    /// Wake whoever blocks on [`RuntimeSystem::callbacks`]: the receiver
+    /// gets a [`UnitCallback::wake`] (non-terminal, no unit). The RTS keeps
+    /// this waker's sender for its whole life, so the callback channel never
+    /// disconnects while the RTS exists — not even after `kill`.
+    pub fn wake_callbacks(&self) {
+        match &self.backend {
+            Backend::Sim(rt) => rt.wake_callbacks(),
+            Backend::Local(rt) => rt.wake_callbacks(),
+        }
+    }
+
     /// Whether the RTS is responsive.
     pub fn is_alive(&self) -> bool {
         match &self.backend {
@@ -231,6 +242,26 @@ impl RuntimeSystem {
         match &self.backend {
             Backend::Sim(rt) => rt.records(),
             Backend::Local(rt) => rt.records(),
+        }
+    }
+
+    /// Hand back the records of the units `mine` selects by unit tag and
+    /// forget those units (unit entries and their DocDb documents). A pilot
+    /// leased to one session after another calls this at each session's
+    /// end, so it never holds more than one session's units.
+    pub fn release_units(&self, mine: impl Fn(&str) -> bool) -> Vec<UnitRecord> {
+        match &self.backend {
+            Backend::Sim(rt) => rt.release_units(mine),
+            Backend::Local(rt) => rt.release_units(mine),
+        }
+    }
+
+    /// Units currently held: `(unit entries, DocDb unit documents)`; the
+    /// local backend has no document store and reports 0 documents.
+    pub fn resident_units(&self) -> (usize, usize) {
+        match &self.backend {
+            Backend::Sim(rt) => (rt.records().len(), rt.db().unit_docs()),
+            Backend::Local(rt) => (rt.records().len(), 0),
         }
     }
 
@@ -323,6 +354,46 @@ mod tests {
             assert!(rts.is_alive());
             rts.kill();
             assert!(!rts.is_alive());
+        }
+    }
+
+    #[test]
+    fn wake_up_reaches_the_callback_channel_even_after_kill() {
+        for cfg in [RtsConfig::sim(PlatformId::TestRig), RtsConfig::local(1)] {
+            let rts = RuntimeSystem::start(cfg);
+            rts.kill();
+            rts.wake_callbacks();
+            // A killed RTS keeps its channel connected (no Disconnected for
+            // a receiver to spin on) and delivers the wake-up.
+            let cb = rts.callbacks().try_recv().expect("wake-up");
+            assert!(!cb.state.is_terminal());
+            assert!(cb.tag.is_empty());
+        }
+    }
+
+    #[test]
+    fn release_units_hands_back_and_forgets_only_selected_units() {
+        for cfg in [RtsConfig::sim(PlatformId::TestRig), RtsConfig::local(2)] {
+            let rts = RuntimeSystem::start(cfg);
+            let pilot = rts.submit_pilot(&PilotDescription::test_rig());
+            assert!(rts.wait_pilot_ready(pilot, Duration::from_secs(5)));
+            let units = ["a.1", "a.2", "b.1"]
+                .iter()
+                .map(|t| UnitDescription::new(*t, Executable::Noop))
+                .collect();
+            rts.submit_units(pilot, units).unwrap();
+            drain_terminal(&rts, 3);
+            let mut released: Vec<String> = rts
+                .release_units(|tag| tag.starts_with("a."))
+                .into_iter()
+                .map(|r| r.tag)
+                .collect();
+            released.sort();
+            assert_eq!(released, ["a.1", "a.2"]);
+            let left: Vec<String> = rts.records().into_iter().map(|r| r.tag).collect();
+            assert_eq!(left, ["b.1"]);
+            assert_eq!(rts.resident_units().0, 1);
+            assert!(rts.release_units(|tag| tag.starts_with("a.")).is_empty());
         }
     }
 

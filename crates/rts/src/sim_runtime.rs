@@ -84,6 +84,9 @@ pub struct SimRuntime {
     state: Arc<Mutex<State>>,
     pilot_cond: Arc<Condvar>,
     callbacks_rx: Receiver<UnitCallback>,
+    /// Sender side kept for [`SimRuntime::wake_callbacks`]; holding it also
+    /// keeps the channel connected after the dispatcher exits.
+    waker: Sender<UnitCallback>,
     db: Arc<DocDb>,
     alive: Arc<AtomicBool>,
     stagers: usize,
@@ -120,6 +123,7 @@ impl SimRuntime {
         let alive = Arc::new(AtomicBool::new(true));
         let pilot_cond = Arc::new(Condvar::new());
 
+        let waker = cb_tx.clone();
         let dispatcher = {
             let state = Arc::clone(&state);
             let db = Arc::clone(&db);
@@ -141,6 +145,7 @@ impl SimRuntime {
             state,
             pilot_cond,
             callbacks_rx: cb_rx,
+            waker,
             db,
             alive,
             stagers: config.stagers.max(1),
@@ -164,6 +169,12 @@ impl SimRuntime {
         &self.callbacks_rx
     }
 
+    /// Wake a thread blocked on [`SimRuntime::callbacks`] with a
+    /// [`UnitCallback::wake`].
+    pub fn wake_callbacks(&self) {
+        let _ = self.waker.send(UnitCallback::wake());
+    }
+
     /// Current virtual time in seconds.
     pub fn now_secs(&self) -> f64 {
         self.commander.now().as_secs_f64()
@@ -172,12 +183,16 @@ impl SimRuntime {
     /// PilotManager: submit a pilot as a batch job on the CI.
     pub fn submit_pilot(&self, desc: &PilotDescription) -> PilotId {
         assert!(self.is_alive(), "RTS is down");
+        // Submit under the state lock: the dispatcher takes the same lock to
+        // handle the job's events, so a zero-bootstrap `JobReady` cannot
+        // arrive before the job is indexed (it would be dropped and
+        // `wait_pilot_ready` would wait out its whole timeout).
+        let mut st = self.state.lock();
         let job = self.commander.submit_job(JobDescription {
             nodes: desc.nodes,
             walltime: hpc_sim::SimDuration::from_secs(desc.walltime_secs),
             bootstrap: hpc_sim::SimDuration::from_secs_f64(desc.bootstrap_secs),
         });
-        let mut st = self.state.lock();
         let id = PilotId(st.next_pilot);
         st.next_pilot += 1;
         st.pilots.insert(
@@ -419,6 +434,27 @@ impl SimRuntime {
             .values()
             .map(|u| u.record.clone())
             .collect()
+    }
+
+    /// Hand back the records of the units `mine` selects by tag and forget
+    /// those units, here and in the DocDb. Events still due for a forgotten
+    /// unit are ignored, like those of any unknown unit.
+    pub fn release_units(&self, mine: impl Fn(&str) -> bool) -> Vec<UnitRecord> {
+        let mut st = self.state.lock();
+        let ids: Vec<UnitId> = st
+            .units
+            .iter()
+            .filter(|(_, u)| mine(&u.desc.tag))
+            .map(|(id, _)| *id)
+            .collect();
+        let records = ids
+            .iter()
+            .filter_map(|id| st.units.remove(id))
+            .map(|u| u.record)
+            .collect();
+        drop(st);
+        self.db.forget_units(&ids);
+        records
     }
 }
 
@@ -840,6 +876,37 @@ mod tests {
         out
     }
 
+    /// Regression: `submit_pilot` used to index the job only after the
+    /// engine accepted it. The engine announces a zero-bootstrap pilot one
+    /// grace window (500 µs) later, so a submitter descheduled for longer
+    /// lost the `JobReady` and acquisition waited out its full 30 s.
+    /// Oversubscribed threads make that preemption likely; every pilot must
+    /// still become ready at once.
+    #[test]
+    fn zero_bootstrap_pilot_acquisition_never_waits_out_the_timeout() {
+        let threads: Vec<_> = (0..16)
+            .map(|t| {
+                std::thread::spawn(move || {
+                    for i in 0..25 {
+                        let rt = runtime();
+                        let t0 = Instant::now();
+                        let p = rt.submit_pilot(&PilotDescription::test_rig());
+                        let ready = rt.wait_pilot_ready(p, Duration::from_secs(30));
+                        let waited = t0.elapsed();
+                        assert!(ready, "thread {t} acquisition {i}: never ready");
+                        assert!(
+                            waited < Duration::from_secs(5),
+                            "thread {t} acquisition {i} waited {waited:?}"
+                        );
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().expect("acquisitions stay prompt");
+        }
+    }
+
     #[test]
     fn pilot_becomes_ready() {
         let rt = runtime();
@@ -990,6 +1057,18 @@ mod tests {
         assert!(d1 >= Duration::ZERO);
         assert!(d2 < d1 + Duration::from_millis(50));
         assert!(!rt.is_alive());
+    }
+
+    #[test]
+    fn released_units_leave_no_documents_behind() {
+        let rt = runtime();
+        let p = ready_pilot(&rt);
+        rt.submit_units(p, noop_units(4)).unwrap();
+        drain_until_terminal(&rt, 4);
+        assert_eq!((rt.records().len(), rt.db().unit_docs()), (4, 4));
+        assert_eq!(rt.release_units(|tag| tag != "u3").len(), 3);
+        assert_eq!((rt.records().len(), rt.db().unit_docs()), (1, 1));
+        assert_eq!(rt.db().queued_for(p.0), 1);
     }
 
     #[test]

@@ -12,6 +12,6 @@ echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test =="
-cargo test -q
+cargo test --workspace -q
 
 echo "all checks passed"
