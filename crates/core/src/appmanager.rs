@@ -156,7 +156,6 @@ impl ResourceDescription {
             stagers: self.stagers,
             db: rp_rts::db::DbConfig {
                 op_latency: self.db_op_latency,
-                ..Default::default()
             },
             seed: self.seed,
             recorder: recorder.is_enabled().then(|| recorder.clone()),

@@ -5,41 +5,22 @@
 //! module" (paper Fig. 3, arrows 4–5). RP's overheads are dominated in part
 //! by these remote round trips ("at runtime, RP initiates communications
 //! between the CI and a remote database"), so the store charges a
-//! configurable latency per operation.
+//! configurable latency per operation. Unit documents are written in bulk
+//! only: one round trip per batch, whichever side writes it. Units reach
+//! the Agent through the launcher rather than by a pull from the store, so
+//! the store keeps documents but no agent queues.
 
 use crate::api::{UnitId, UnitState};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
-use std::time::{Duration, Instant};
+use std::collections::HashMap;
+use std::time::Duration;
 
 /// Store configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DbConfig {
     /// Real-time latency charged on every store operation, modeling the
     /// network round trip to a remote MongoDB. Zero by default (tests).
     pub op_latency: Duration,
-    /// First free-pull window after a charged empty pull (agent-side
-    /// backoff). Doubles on every consecutive empty probe.
-    pub backoff_base: Duration,
-    /// Ceiling the doubling backoff window never exceeds.
-    pub backoff_cap: Duration,
-}
-
-impl Default for DbConfig {
-    fn default() -> Self {
-        DbConfig {
-            op_latency: Duration::ZERO,
-            backoff_base: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(1),
-        }
-    }
-}
-
-/// Per-agent empty-pull backoff: consecutive empty probes and the end of
-/// the current free-pull window.
-struct AgentBackoff {
-    strikes: u32,
-    until: Instant,
 }
 
 /// A unit document as persisted in the store.
@@ -61,8 +42,6 @@ pub struct UnitDoc {
 
 struct Store {
     docs: HashMap<UnitId, UnitDoc>,
-    /// Per-agent unit queues (keyed by pilot index).
-    queues: HashMap<u64, VecDeque<UnitId>>,
     /// Pilot documents: state history keyed by pilot index.
     pilots: HashMap<u64, Vec<String>>,
     /// Network round trips to the store. Bulk operations count one round
@@ -71,12 +50,6 @@ struct Store {
     /// Documents touched across all operations; with `round_trips` this
     /// splits the old flat op counter into its two cost components.
     documents: u64,
-    /// Agents inside an empty-pull backoff window: pulls while the queue is
-    /// still empty and the window is open are served without a round-trip
-    /// charge. The window expires (the agent probes again, doubling it) and
-    /// is reset by a successful pull, so the stragglers at the tail of a
-    /// workflow never wait out a stale interval.
-    backoff: HashMap<u64, AgentBackoff>,
 }
 
 /// The document store. Thread-safe; clone-free (wrap in `Arc`).
@@ -92,11 +65,9 @@ impl DocDb {
             config,
             store: Mutex::new(Store {
                 docs: HashMap::new(),
-                queues: HashMap::new(),
                 pilots: HashMap::new(),
                 round_trips: 0,
                 documents: 0,
-                backoff: HashMap::new(),
             }),
         }
     }
@@ -107,118 +78,35 @@ impl DocDb {
         }
     }
 
-    fn insert_unit_locked(
-        st: &mut Store,
-        agent: u64,
-        unit: UnitId,
-        tag: String,
-        trace: Option<String>,
-    ) {
-        st.docs.insert(
-            unit,
-            UnitDoc {
-                unit,
-                tag,
-                state: UnitState::New,
-                history: vec![UnitState::New],
-                trace,
-            },
-        );
-        st.queues.entry(agent).or_default().push_back(unit);
-        st.documents += 1;
-    }
-
-    /// Insert a new unit document and enqueue it for an agent.
-    pub fn insert_unit(&self, agent: u64, unit: UnitId, tag: String) {
-        self.charge();
-        let mut st = self.store.lock();
-        st.round_trips += 1;
-        Self::insert_unit_locked(&mut st, agent, unit, tag, None);
-    }
-
-    /// Bulk-insert unit documents for an agent in **one** round trip,
-    /// modeling a MongoDB `bulk_write` of N inserts: one `op_latency`
-    /// charge, N documents. Each entry is `(unit, tag, encoded trace)`.
-    pub fn insert_units(&self, agent: u64, units: Vec<(UnitId, String, Option<String>)>) {
+    /// Bulk-insert unit documents in **one** round trip, modeling a MongoDB
+    /// `bulk_write` of N inserts: one `op_latency` charge, N documents.
+    /// Each entry is `(unit, tag, encoded trace)`.
+    pub fn insert_units(&self, units: Vec<(UnitId, String, Option<String>)>) {
         if units.is_empty() {
             return;
         }
         self.charge();
         let mut st = self.store.lock();
         st.round_trips += 1;
+        st.documents += units.len() as u64;
         for (unit, tag, trace) in units {
-            Self::insert_unit_locked(&mut st, agent, unit, tag, trace);
+            st.docs.insert(
+                unit,
+                UnitDoc {
+                    unit,
+                    tag,
+                    state: UnitState::New,
+                    history: vec![UnitState::New],
+                    trace,
+                },
+            );
         }
-    }
-
-    /// Agent-side: pull up to `max` units from this agent's queue.
-    ///
-    /// An idle agent backs off: a charged empty pull opens a free-pull
-    /// window ([`DbConfig::backoff_base`], doubling per consecutive empty
-    /// probe up to [`DbConfig::backoff_cap`]) during which further pulls
-    /// against a still-empty queue return immediately without charging
-    /// another round trip. Work arriving bypasses the window at once, and a
-    /// successful pull resets the backoff entirely, so the first empty pull
-    /// after draining a burst is a fresh base-interval probe — the tail of a
-    /// workflow never waits out a stale, fully-doubled window.
-    pub fn pull_units(&self, agent: u64, max: usize) -> Vec<UnitId> {
-        {
-            let st = self.store.lock();
-            let still_empty = st.queues.get(&agent).is_none_or(VecDeque::is_empty);
-            if still_empty
-                && st
-                    .backoff
-                    .get(&agent)
-                    .is_some_and(|b| Instant::now() < b.until)
-            {
-                return Vec::new();
-            }
-        }
-        self.charge();
-        let mut st = self.store.lock();
-        st.round_trips += 1;
-        let queue = st.queues.entry(agent).or_default();
-        let n = queue.len().min(max);
-        let pulled: Vec<UnitId> = queue.drain(..n).collect();
-        if pulled.is_empty() {
-            let base = self.config.backoff_base;
-            let cap = self.config.backoff_cap;
-            let entry = st.backoff.entry(agent).or_insert(AgentBackoff {
-                strikes: 0,
-                until: Instant::now(),
-            });
-            entry.strikes += 1;
-            let window = base
-                .checked_mul(1u32 << (entry.strikes - 1).min(16))
-                .map_or(cap, |w| w.min(cap));
-            entry.until = Instant::now() + window;
-        } else {
-            st.backoff.remove(&agent);
-            st.documents += pulled.len() as u64;
-        }
-        pulled
-    }
-
-    fn update_state_locked(st: &mut Store, unit: UnitId, state: UnitState) {
-        if let Some(doc) = st.docs.get_mut(&unit) {
-            doc.state = state;
-            doc.history.push(state);
-            st.documents += 1;
-        }
-    }
-
-    /// Record a state transition for a unit. Unknown units are ignored
-    /// (they may belong to a previous, failed RTS incarnation).
-    pub fn update_state(&self, unit: UnitId, state: UnitState) {
-        self.charge();
-        let mut st = self.store.lock();
-        st.round_trips += 1;
-        Self::update_state_locked(&mut st, unit, state);
     }
 
     /// Bulk-record state transitions in **one** round trip (MongoDB
-    /// `bulk_write` of N updates). Unknown units are ignored, as in
-    /// [`DocDb::update_state`].
+    /// `bulk_write` of N updates), applied in order. Unknown units are
+    /// ignored (they may belong to a previous, failed RTS incarnation, or
+    /// have been forgotten).
     pub fn update_states(&self, updates: &[(UnitId, UnitState)]) {
         if updates.is_empty() {
             return;
@@ -227,7 +115,11 @@ impl DocDb {
         let mut st = self.store.lock();
         st.round_trips += 1;
         for (unit, state) in updates {
-            Self::update_state_locked(&mut st, *unit, *state);
+            if let Some(doc) = st.docs.get_mut(unit) {
+                doc.state = *state;
+                doc.history.push(*state);
+                st.documents += 1;
+            }
         }
     }
 
@@ -282,44 +174,19 @@ impl DocDb {
         self.store.lock().documents
     }
 
-    /// Units currently queued for an agent.
-    pub fn queued_for(&self, agent: u64) -> usize {
-        self.store
-            .lock()
-            .queues
-            .get(&agent)
-            .map_or(0, VecDeque::len)
-    }
-
     /// Unit documents currently held.
     pub fn unit_docs(&self) -> usize {
         self.store.lock().docs.len()
     }
 
-    /// Forget units: drop their documents and agent-queue entries. This
-    /// only reclaims memory — it models documents expiring server-side
-    /// (a MongoDB TTL index), so it charges no round trip.
+    /// Forget units: drop their documents. This only reclaims memory — it
+    /// models documents expiring server-side (a MongoDB TTL index), so it
+    /// charges no round trip.
     pub fn forget_units(&self, units: &[UnitId]) {
-        if units.is_empty() {
-            return;
-        }
-        let gone: std::collections::HashSet<UnitId> = units.iter().copied().collect();
         let mut st = self.store.lock();
-        st.docs.retain(|id, _| !gone.contains(id));
-        for queue in st.queues.values_mut() {
-            queue.retain(|id| !gone.contains(id));
+        for unit in units {
+            st.docs.remove(unit);
         }
-    }
-
-    /// All unit documents in a terminal state.
-    pub fn terminal_units(&self) -> Vec<UnitDoc> {
-        self.store
-            .lock()
-            .docs
-            .values()
-            .filter(|d| d.state.is_terminal())
-            .cloned()
-            .collect()
     }
 }
 
@@ -327,50 +194,32 @@ impl DocDb {
 mod tests {
     use super::*;
 
-    #[test]
-    fn insert_pull_roundtrip() {
-        let db = DocDb::new(DbConfig::default());
-        db.insert_unit(0, UnitId(1), "t1".into());
-        db.insert_unit(0, UnitId(2), "t2".into());
-        db.insert_unit(1, UnitId(3), "t3".into());
-        assert_eq!(db.queued_for(0), 2);
-        let pulled = db.pull_units(0, 10);
-        assert_eq!(pulled, vec![UnitId(1), UnitId(2)]);
-        assert_eq!(db.queued_for(0), 0);
-        assert_eq!(db.pull_units(1, 1), vec![UnitId(3)]);
+    fn units(ids: std::ops::RangeInclusive<u64>) -> Vec<(UnitId, String, Option<String>)> {
+        ids.map(|i| (UnitId(i), format!("u{i}"), None)).collect()
     }
 
     #[test]
-    fn forget_units_drops_documents_and_queue_entries() {
+    fn forget_units_drops_documents() {
         let db = DocDb::new(DbConfig::default());
-        for i in 1..=3 {
-            db.insert_unit(0, UnitId(i), format!("u{i}"));
-        }
+        db.insert_units(units(1..=3));
         let round_trips = db.op_count();
         db.forget_units(&[UnitId(1), UnitId(3)]);
         assert_eq!(db.unit_docs(), 1);
         assert!(db.get(UnitId(1)).is_none());
-        assert_eq!(db.pull_units(0, 10), vec![UnitId(2)]);
-        assert_eq!(db.op_count(), round_trips + 1, "forgetting is free");
-    }
-
-    #[test]
-    fn pull_respects_max() {
-        let db = DocDb::new(DbConfig::default());
-        for i in 0..5 {
-            db.insert_unit(0, UnitId(i), format!("t{i}"));
-        }
-        assert_eq!(db.pull_units(0, 2).len(), 2);
-        assert_eq!(db.queued_for(0), 3);
+        assert!(db.get(UnitId(3)).is_none());
+        assert_eq!(db.get(UnitId(2)).map(|d| d.tag).as_deref(), Some("u2"));
+        assert_eq!(db.op_count(), round_trips, "forgetting is free");
     }
 
     #[test]
     fn state_history_accumulates() {
         let db = DocDb::new(DbConfig::default());
-        db.insert_unit(0, UnitId(7), "x".into());
-        db.update_state(UnitId(7), UnitState::StagingInput);
-        db.update_state(UnitId(7), UnitState::Executing);
-        db.update_state(UnitId(7), UnitState::Done);
+        db.insert_units(units(7..=7));
+        db.update_states(&[
+            (UnitId(7), UnitState::StagingInput),
+            (UnitId(7), UnitState::Executing),
+        ]);
+        db.update_states(&[(UnitId(7), UnitState::Done)]);
         let doc = db.get(UnitId(7)).unwrap();
         assert_eq!(doc.state, UnitState::Done);
         assert_eq!(
@@ -387,19 +236,8 @@ mod tests {
     #[test]
     fn unknown_unit_update_is_ignored() {
         let db = DocDb::new(DbConfig::default());
-        db.update_state(UnitId(99), UnitState::Done);
+        db.update_states(&[(UnitId(99), UnitState::Done)]);
         assert!(db.get(UnitId(99)).is_none());
-    }
-
-    #[test]
-    fn terminal_units_filtered() {
-        let db = DocDb::new(DbConfig::default());
-        db.insert_unit(0, UnitId(1), "a".into());
-        db.insert_unit(0, UnitId(2), "b".into());
-        db.update_state(UnitId(1), UnitState::Done);
-        let term = db.terminal_units();
-        assert_eq!(term.len(), 1);
-        assert_eq!(term[0].unit, UnitId(1));
     }
 
     #[test]
@@ -417,27 +255,19 @@ mod tests {
     #[test]
     fn bulk_insert_charges_one_round_trip() {
         let db = DocDb::new(DbConfig::default());
-        db.insert_units(
-            0,
-            (1..=50)
-                .map(|i| (UnitId(i), format!("t{i}"), None))
-                .collect(),
-        );
+        db.insert_units(units(1..=50));
         assert_eq!(db.op_count(), 1, "one bulk_write round trip");
         assert_eq!(db.doc_count(), 50, "fifty documents inserted");
-        assert_eq!(db.queued_for(0), 50);
-        assert_eq!(db.pull_units(0, 100).len(), 50);
-        db.insert_units(0, Vec::new()); // empty bulk is free
-        assert_eq!(db.op_count(), 2);
+        assert_eq!(db.unit_docs(), 50);
+        assert_eq!(db.get(UnitId(50)).unwrap().history, vec![UnitState::New]);
+        db.insert_units(Vec::new()); // empty bulk is free
+        assert_eq!(db.op_count(), 1);
     }
 
     #[test]
     fn bulk_update_states_charges_one_round_trip() {
         let db = DocDb::new(DbConfig::default());
-        db.insert_units(
-            0,
-            vec![(UnitId(1), "a".into(), None), (UnitId(2), "b".into(), None)],
-        );
+        db.insert_units(units(1..=2));
         let before = db.op_count();
         db.update_states(&[
             (UnitId(1), UnitState::Executing),
@@ -454,10 +284,9 @@ mod tests {
     fn bulk_latency_amortized_over_batch() {
         let db = DocDb::new(DbConfig {
             op_latency: Duration::from_millis(5),
-            ..Default::default()
         });
         let t0 = std::time::Instant::now();
-        db.insert_units(0, (1..=20).map(|i| (UnitId(i), "t".into(), None)).collect());
+        db.insert_units(units(1..=20));
         let elapsed = t0.elapsed();
         assert!(elapsed >= Duration::from_millis(5), "one charge applies");
         assert!(
@@ -467,101 +296,13 @@ mod tests {
     }
 
     #[test]
-    fn idle_agent_empty_pulls_stop_charging() {
-        let db = DocDb::new(DbConfig::default());
-        assert!(db.pull_units(0, 8).is_empty());
-        let after_first = db.op_count();
-        for _ in 0..10 {
-            assert!(db.pull_units(0, 8).is_empty());
-        }
-        assert_eq!(
-            db.op_count(),
-            after_first,
-            "repeated empty pulls are served from agent-side backoff"
-        );
-        // New work resets the backoff: the next pull charges and delivers.
-        db.insert_unit(0, UnitId(1), "t".into());
-        assert_eq!(db.pull_units(0, 8), vec![UnitId(1)]);
-        assert_eq!(db.op_count(), after_first + 2, "insert + productive pull");
-        // Draining again re-enters backoff after one charged empty pull.
-        assert!(db.pull_units(0, 8).is_empty());
-        let re_emptied = db.op_count();
-        assert!(db.pull_units(0, 8).is_empty());
-        assert_eq!(db.op_count(), re_emptied);
-    }
-
-    /// Regression (empty-pull backoff tail latency): the old backoff was a
-    /// sticky boolean — once an agent went idle it was never probed again,
-    /// and there was no bound on how stale the "nothing there" verdict
-    /// could get. The window must (a) expire so the agent re-probes, and
-    /// (b) reset on a successful pull, so the stragglers at the end of a
-    /// workflow get a fresh base-interval probe instead of waiting out a
-    /// fully doubled window.
-    #[test]
-    fn backoff_window_expires_and_resets_on_success() {
-        let db = DocDb::new(DbConfig {
-            op_latency: Duration::ZERO,
-            backoff_base: Duration::from_millis(20),
-            backoff_cap: Duration::from_millis(80),
-        });
-        // First empty pull: charged probe, opens the base window.
-        assert!(db.pull_units(0, 8).is_empty());
-        let probes = db.op_count();
-        // Inside the window: free.
-        assert!(db.pull_units(0, 8).is_empty());
-        assert_eq!(db.op_count(), probes, "pull inside the window is free");
-        // After the window expires the agent probes (and is charged) again —
-        // the old sticky-boolean backoff never did.
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(db.pull_units(0, 8).is_empty());
-        assert_eq!(db.op_count(), probes + 1, "expired window re-probes");
-        // Work arriving bypasses any open window immediately.
-        db.insert_unit(0, UnitId(1), "t".into());
-        assert_eq!(db.pull_units(0, 8), vec![UnitId(1)]);
-        // The successful pull reset the backoff: the next empty pull is a
-        // fresh charged probe whose window is back to the base interval —
-        // after sleeping just past `backoff_base` (but well under the
-        // doubled window the agent had reached), the agent probes again.
-        let drained = db.op_count();
-        assert!(db.pull_units(0, 8).is_empty());
-        assert_eq!(db.op_count(), drained + 1, "fresh probe after reset");
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(db.pull_units(0, 8).is_empty());
-        assert_eq!(
-            db.op_count(),
-            drained + 2,
-            "post-reset window is the base interval, not the doubled one"
-        );
-    }
-
-    #[test]
-    fn backoff_window_doubles_up_to_the_cap() {
-        let db = DocDb::new(DbConfig {
-            op_latency: Duration::ZERO,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(40),
-        });
-        // Strikes 1..: windows 10, 20, 40, 40, ... ms. Sleep past each
-        // window and verify exactly one charged probe per expiry.
-        for expect_window_ms in [10u64, 20, 40, 40] {
-            let before = db.op_count();
-            assert!(db.pull_units(0, 8).is_empty());
-            assert_eq!(db.op_count(), before + 1, "expiry triggers one probe");
-            assert!(db.pull_units(0, 8).is_empty(), "still inside new window");
-            assert_eq!(db.op_count(), before + 1);
-            std::thread::sleep(Duration::from_millis(expect_window_ms + 10));
-        }
-    }
-
-    #[test]
     fn op_latency_is_charged() {
         let db = DocDb::new(DbConfig {
             op_latency: Duration::from_millis(5),
-            ..Default::default()
         });
         let t0 = std::time::Instant::now();
-        db.insert_unit(0, UnitId(1), "a".into());
-        db.update_state(UnitId(1), UnitState::Done);
+        db.insert_units(units(1..=1));
+        db.update_states(&[(UnitId(1), UnitState::Done)]);
         assert!(t0.elapsed() >= Duration::from_millis(10));
         assert_eq!(db.op_count(), 2);
     }

@@ -6,12 +6,13 @@
 //! * `submit_pilot` plays the **PilotManager**: it submits the pilot as a
 //!   batch job through the (simulated) CI's job interface.
 //! * `submit_units` plays the **UnitManager**: units are written to the
-//!   [`DocDb`] and scheduled to the pilot's agent queue.
-//! * A dispatcher thread plays the **Agent**: it pulls units from the DB
-//!   queue, runs input staging through `stagers` sequential workers (RP's
-//!   default is one), places and spawns tasks through the simulated
-//!   launcher, and on completion performs output staging and emits
-//!   callbacks.
+//!   [`DocDb`] and handed to the pilot's agent.
+//! * A dispatcher thread plays the **Agent**: it runs input staging through
+//!   `stagers` sequential workers (RP's default is one), places and spawns
+//!   tasks through the simulated launcher, and on completion performs
+//!   output staging. It persists each drained batch of unit transitions in
+//!   one bulk DocDb write, outside the state lock, before it emits the
+//!   batch's callbacks.
 
 use crate::api::{
     PilotDescription, PilotId, PilotState, RtsDown, UnitCallback, UnitDescription, UnitId,
@@ -313,32 +314,28 @@ impl SimRuntime {
             // routed, and the RTS is gone when the call returns.
             if let Some(action) = entk_fail::hit_sleep("rts.db.insert_units") {
                 inserts.truncate(injected_prefix(&action, inserts.len()));
-                self.db.insert_units(pilot.0, inserts);
+                self.db.insert_units(inserts);
                 drop(st);
                 self.kill(); // joins the dispatcher; must not hold the lock
                 return Err(RtsDown);
             }
-            self.db.insert_units(pilot.0, inserts);
+            self.db.insert_units(inserts);
             // Pass 2: route each unit. Submit-path state transitions are
             // collected and persisted with one bulk update below.
-            let mut state_updates: Vec<(UnitId, UnitState)> = Vec::new();
+            let mut out = Outbox::default();
             for (id, stage_in) in routes {
                 match (job, stage_in) {
                     (None, _) => {
                         // Unknown pilot: the unit is immediately lost.
-                        fail_unit_locked(&mut st, &self.db, id, UnitOutcome::Canceled, now, None);
+                        fail_unit_locked(&mut st, &mut out, id, UnitOutcome::Canceled, now, false);
                     }
                     (Some(_), Some(su)) if !su.is_empty() => {
-                        if set_state_mem_locked(&mut st, id, UnitState::StagingInput, None) {
-                            state_updates.push((id, UnitState::StagingInput));
-                        }
+                        set_state_locked(&mut st, &mut out, id, UnitState::StagingInput, None);
                         st.stage_queue.push_back((id, su, StagePhase::In));
                     }
                     (Some(job), _) => {
                         let task = make_task_desc(&st.units[&id].desc);
-                        if set_state_mem_locked(&mut st, id, UnitState::AgentQueued, None) {
-                            state_updates.push((id, UnitState::AgentQueued));
-                        }
+                        set_state_locked(&mut st, &mut out, id, UnitState::AgentQueued, None);
                         launches.push((id, job, task));
                     }
                 }
@@ -347,13 +344,13 @@ impl SimRuntime {
             // update — every document was inserted but only a prefix
             // records its submit-path transition, and nothing launches.
             if let Some(action) = entk_fail::hit_sleep("rts.db.update_states") {
-                let keep = injected_prefix(&action, state_updates.len());
-                self.db.update_states(&state_updates[..keep]);
+                let keep = injected_prefix(&action, out.units.len());
+                self.db.update_states(&out.units[..keep]);
                 drop(st);
                 self.kill();
                 return Err(RtsDown);
             }
-            self.db.update_states(&state_updates);
+            self.db.update_states(&out.units);
             dispatch_stagers_locked(&mut st, &self.commander, self.stagers);
         }
         // Launch outside the lock's critical path for clarity (commander
@@ -484,78 +481,76 @@ fn make_task_desc(desc: &UnitDescription) -> TaskDesc {
     }
 }
 
-/// Apply a unit state transition in memory only (entry state, recorder,
-/// callback). Returns whether the transition applied (unit known and not
-/// already terminal); the caller is responsible for persisting applied
-/// transitions to the DB — individually or via one bulk `update_states`.
-fn set_state_mem_locked(
-    st: &mut State,
-    unit: UnitId,
-    state: UnitState,
-    cb: Option<(&Sender<UnitCallback>, f64)>,
-) -> bool {
-    let rec = st.recorder.clone();
-    if let Some(u) = st.units.get_mut(&unit) {
-        if u.state.is_terminal() {
-            return false;
-        }
-        u.state = state;
-        if state == UnitState::Executing {
-            // The agent_start hop is stamped adjacent to the unit_started
-            // event so the aggregated hop timeline stays cross-checkable
-            // against `OverheadReport::from_trace`.
-            if let Some(trace) = u.desc.trace.as_mut() {
-                trace.hop(
-                    components::RTS,
-                    entk_observe::hops::AGENT_START,
-                    rec.now_ns(),
-                );
-            }
-            rec.record(components::RTS, "unit_started", u.desc.tag.clone(), "");
-            rec.metrics().counter("rts.units_started").incr();
-        } else {
-            rec.record(
-                components::RTS,
-                "unit_state",
-                u.desc.tag.clone(),
-                format!("{state:?}"),
-            );
-        }
-        if let Some((tx, ts)) = cb {
-            let _ = tx.send(UnitCallback {
-                unit,
-                tag: u.desc.tag.clone(),
-                state,
-                outcome: None,
-                timestamp_secs: ts,
-                trace: None,
-            });
-        }
-        true
-    } else {
-        false
-    }
+/// What applying a batch under the state lock leaves to do once the lock is
+/// dropped, in this order: persist the unit transitions (one bulk write),
+/// persist the pilot transitions, send the callbacks. Persisting first means
+/// no callback ever announces a transition the DocDb does not hold yet.
+#[derive(Default)]
+struct Outbox {
+    units: Vec<(UnitId, UnitState)>,
+    pilots: Vec<(u64, &'static str)>,
+    callbacks: Vec<UnitCallback>,
 }
 
+/// Apply a unit state transition in memory (entry state, recorder) and queue
+/// its DocDb write, plus a callback stamped `cb_at` if given. Units unknown
+/// or already terminal are left alone.
 fn set_state_locked(
     st: &mut State,
-    db: &DocDb,
+    out: &mut Outbox,
     unit: UnitId,
     state: UnitState,
-    cb: Option<(&Sender<UnitCallback>, f64)>,
+    cb_at: Option<f64>,
 ) {
-    if set_state_mem_locked(st, unit, state, cb) {
-        db.update_state(unit, state);
+    let rec = st.recorder.clone();
+    let Some(u) = st.units.get_mut(&unit) else {
+        return;
+    };
+    if u.state.is_terminal() {
+        return;
+    }
+    u.state = state;
+    if state == UnitState::Executing {
+        // The agent_start hop is stamped adjacent to the unit_started
+        // event so the aggregated hop timeline stays cross-checkable
+        // against `OverheadReport::from_trace`.
+        if let Some(trace) = u.desc.trace.as_mut() {
+            trace.hop(
+                components::RTS,
+                entk_observe::hops::AGENT_START,
+                rec.now_ns(),
+            );
+        }
+        rec.record(components::RTS, "unit_started", u.desc.tag.clone(), "");
+        rec.metrics().counter("rts.units_started").incr();
+    } else {
+        rec.record(
+            components::RTS,
+            "unit_state",
+            u.desc.tag.clone(),
+            format!("{state:?}"),
+        );
+    }
+    out.units.push((unit, state));
+    if let Some(ts) = cb_at {
+        out.callbacks.push(UnitCallback {
+            unit,
+            tag: u.desc.tag.clone(),
+            state,
+            outcome: None,
+            timestamp_secs: ts,
+            trace: None,
+        });
     }
 }
 
 fn fail_unit_locked(
     st: &mut State,
-    db: &DocDb,
+    out: &mut Outbox,
     unit: UnitId,
     outcome: UnitOutcome,
     at_secs: f64,
-    cb: Option<&Sender<UnitCallback>>,
+    notify: bool,
 ) {
     let rec = st.recorder.clone();
     let Some(u) = st.units.get_mut(&unit) else {
@@ -577,7 +572,7 @@ fn fail_unit_locked(
     if let Some(trace) = u.desc.trace.as_mut() {
         trace.hop(components::RTS, entk_observe::hops::AGENT_END, rec.now_ns());
     }
-    db.update_state(unit, state);
+    out.units.push((unit, state));
     rec.record(
         components::RTS,
         "unit_ended",
@@ -585,8 +580,8 @@ fn fail_unit_locked(
         format!("{state:?}"),
     );
     rec.metrics().counter("rts.units_ended").incr();
-    if let Some(tx) = cb {
-        let _ = tx.send(UnitCallback {
+    if notify {
+        out.callbacks.push(UnitCallback {
             unit,
             tag: u.desc.tag.clone(),
             state,
@@ -613,6 +608,12 @@ fn dispatch_stagers_locked(st: &mut State, commander: &SimCommander, stagers: us
     }
 }
 
+/// The Agent. Each pass takes one drain of the event channel as its batch:
+/// whatever queued up while the previous batch was being persisted (group
+/// commit, with no linger timer). The batch is applied in memory under the
+/// state lock; then, with the lock dropped, every unit transition in it is
+/// persisted in one bulk write, the pilot documents are written, the
+/// callbacks are sent, and pilot waiters are notified.
 #[allow(clippy::too_many_arguments)]
 fn dispatcher_loop(
     events: Receiver<SimEvent>,
@@ -624,217 +625,185 @@ fn dispatcher_loop(
     commander: SimCommander,
     stagers: usize,
 ) {
-    while let Ok(ev) = events.recv() {
+    let mut batch: Vec<SimEvent> = Vec::new();
+    let mut out = Outbox::default();
+    while let Ok(first) = events.recv() {
         if !alive.load(Ordering::Acquire) {
             break;
         }
-        let mut st = state.lock();
-        match ev {
-            SimEvent::JobActive { job, time: _ } => {
-                if let Some(pid) = st.job_index.get(&job).copied() {
-                    if let Some(p) = st.pilots.get_mut(&pid) {
-                        if p.state == PilotState::Queued {
-                            p.state = PilotState::Active;
-                        }
-                    }
-                    st.recorder.record(
-                        components::RTS,
-                        "pilot_state",
-                        format!("pilot.{}", pid.0),
-                        "Active",
-                    );
-                    db.update_pilot_state(pid.0, "Active");
-                    cond.notify_all();
-                }
+        batch.push(first);
+        batch.extend(std::iter::from_fn(|| events.try_recv().ok()));
+        {
+            let mut st = state.lock();
+            for ev in batch.drain(..) {
+                apply_event_locked(&mut st, &mut out, ev, &commander, stagers);
             }
-            SimEvent::JobReady { job, time: _ } => {
-                if let Some(pid) = st.job_index.get(&job).copied() {
-                    if let Some(p) = st.pilots.get_mut(&pid) {
-                        p.state = PilotState::Ready;
-                    }
-                    st.recorder.record(
-                        components::RTS,
-                        "pilot_state",
-                        format!("pilot.{}", pid.0),
-                        "Ready",
-                    );
-                    db.update_pilot_state(pid.0, "Ready");
-                    cond.notify_all();
-                }
+        }
+        db.update_states(&out.units);
+        out.units.clear();
+        for (pilot, name) in out.pilots.drain(..) {
+            db.update_pilot_state(pilot, name);
+        }
+        if !alive.load(Ordering::Acquire) {
+            break;
+        }
+        for cb in out.callbacks.drain(..) {
+            let _ = cb_tx.send(cb);
+        }
+        cond.notify_all();
+    }
+}
+
+/// Apply a pilot's job event: set its state (a late `JobActive` never
+/// overrides a later state) and queue the pilot document write.
+fn pilot_event_locked(
+    st: &mut State,
+    out: &mut Outbox,
+    job: JobId,
+    state: PilotState,
+) -> Option<PilotId> {
+    let pid = st.job_index.get(&job).copied()?;
+    let name = match state {
+        PilotState::Queued => "Queued",
+        PilotState::Active => "Active",
+        PilotState::Ready => "Ready",
+        PilotState::Done => "Done",
+    };
+    if let Some(p) = st.pilots.get_mut(&pid) {
+        if state != PilotState::Active || p.state == PilotState::Queued {
+            p.state = state;
+        }
+    }
+    st.recorder.record(
+        components::RTS,
+        "pilot_state",
+        format!("pilot.{}", pid.0),
+        name,
+    );
+    out.pilots.push((pid.0, name));
+    Some(pid)
+}
+
+fn apply_event_locked(
+    st: &mut State,
+    out: &mut Outbox,
+    ev: SimEvent,
+    commander: &SimCommander,
+    stagers: usize,
+) {
+    match ev {
+        SimEvent::JobActive { job, .. } => {
+            pilot_event_locked(st, out, job, PilotState::Active);
+        }
+        SimEvent::JobReady { job, .. } => {
+            pilot_event_locked(st, out, job, PilotState::Ready);
+        }
+        SimEvent::JobEnded { job, time, .. } => {
+            let Some(pid) = pilot_event_locked(st, out, job, PilotState::Done) else {
+                return;
+            };
+            // Any unit of this pilot not yet terminal is lost. The sim also
+            // emits per-task Canceled events; this sweep catches units still
+            // in staging.
+            let lost: Vec<UnitId> = st
+                .units
+                .iter()
+                .filter(|(_, u)| u.pilot == pid && !u.state.is_terminal())
+                .map(|(id, _)| *id)
+                .collect();
+            for id in lost {
+                fail_unit_locked(st, out, id, UnitOutcome::Canceled, time.as_secs_f64(), true);
             }
-            SimEvent::JobEnded { job, time, .. } => {
-                if let Some(pid) = st.job_index.get(&job).copied() {
-                    if let Some(p) = st.pilots.get_mut(&pid) {
-                        p.state = PilotState::Done;
-                    }
-                    st.recorder.record(
-                        components::RTS,
-                        "pilot_state",
-                        format!("pilot.{}", pid.0),
-                        "Done",
-                    );
-                    db.update_pilot_state(pid.0, "Done");
-                    // Any unit of this pilot not yet terminal is lost. The
-                    // sim also emits per-task Canceled events; this sweep
-                    // catches units still in staging.
-                    let lost: Vec<UnitId> = st
+        }
+        SimEvent::TaskStarted { task, time } => {
+            if let Some(unit) = st.task_index.get(&task).copied() {
+                if let Some(u) = st.units.get_mut(&unit) {
+                    u.record.started_secs = Some(time.as_secs_f64());
+                }
+                set_state_locked(
+                    st,
+                    out,
+                    unit,
+                    UnitState::Executing,
+                    Some(time.as_secs_f64()),
+                );
+            }
+        }
+        SimEvent::TaskEnded {
+            task,
+            time,
+            outcome,
+            ..
+        } => {
+            let Some(unit) = st.task_index.remove(&task) else {
+                return;
+            };
+            let ts = time.as_secs_f64();
+            let outcome = match outcome {
+                TaskOutcome::Completed => {
+                    let stage_out = st
                         .units
-                        .iter()
-                        .filter(|(_, u)| u.pilot == pid && !u.state.is_terminal())
-                        .map(|(id, _)| *id)
-                        .collect();
-                    for id in lost {
-                        fail_unit_locked(
-                            &mut st,
-                            &db,
-                            id,
-                            UnitOutcome::Canceled,
-                            time.as_secs_f64(),
-                            Some(&cb_tx),
-                        );
+                        .get(&unit)
+                        .and_then(|u| u.desc.staging.stage_out.clone());
+                    match stage_out {
+                        Some(su) if !su.is_empty() => {
+                            set_state_locked(st, out, unit, UnitState::StagingOutput, Some(ts));
+                            st.stage_queue.push_back((unit, su, StagePhase::Out));
+                            dispatch_stagers_locked(st, commander, stagers);
+                            return;
+                        }
+                        _ => UnitOutcome::Done,
                     }
-                    cond.notify_all();
                 }
-            }
-            SimEvent::TaskStarted { task, time } => {
-                if let Some(unit) = st.task_index.get(&task).copied() {
-                    if let Some(u) = st.units.get_mut(&unit) {
-                        u.record.started_secs = Some(time.as_secs_f64());
-                    }
-                    set_state_locked(
-                        &mut st,
-                        &db,
-                        unit,
-                        UnitState::Executing,
-                        Some((&cb_tx, time.as_secs_f64())),
-                    );
-                }
-            }
-            SimEvent::TaskEnded {
-                task,
-                time,
-                outcome,
-                ..
-            } => {
-                if let Some(unit) = st.task_index.remove(&task) {
-                    let ts = time.as_secs_f64();
-                    match outcome {
-                        TaskOutcome::Completed => {
-                            let stage_out = st
-                                .units
-                                .get(&unit)
-                                .and_then(|u| u.desc.staging.stage_out.clone());
-                            match stage_out {
-                                Some(su) if !su.is_empty() => {
-                                    set_state_locked(
-                                        &mut st,
-                                        &db,
-                                        unit,
-                                        UnitState::StagingOutput,
-                                        Some((&cb_tx, ts)),
-                                    );
-                                    st.stage_queue.push_back((unit, su, StagePhase::Out));
-                                    dispatch_stagers_locked(&mut st, &commander, stagers);
-                                }
-                                _ => {
-                                    fail_unit_locked(
-                                        &mut st,
-                                        &db,
-                                        unit,
-                                        UnitOutcome::Done,
-                                        ts,
-                                        Some(&cb_tx),
-                                    );
-                                }
+                TaskOutcome::Failed(reason) => UnitOutcome::Failed(reason),
+                TaskOutcome::Canceled => UnitOutcome::Canceled,
+            };
+            fail_unit_locked(st, out, unit, outcome, ts, true);
+        }
+        SimEvent::StageEnded {
+            stage,
+            time,
+            submitted_at,
+        } => {
+            let Some((unit, phase, _)) = st.stage_index.remove(&stage) else {
+                return;
+            };
+            st.stage_in_flight = st.stage_in_flight.saturating_sub(1);
+            let ts = time.as_secs_f64();
+            let dur = (time - submitted_at).as_secs_f64();
+            match phase {
+                StagePhase::In => {
+                    let (job, task_desc, dead) = {
+                        match st.units.get_mut(&unit) {
+                            Some(u) if !u.state.is_terminal() => {
+                                u.record.stage_in_done_secs = Some(ts);
+                                u.record.stage_in_duration_secs = dur;
+                                let pid = u.pilot;
+                                let td = make_task_desc(&u.desc);
+                                let job = st
+                                    .pilots
+                                    .get(&pid)
+                                    .and_then(|p| (p.state != PilotState::Done).then_some(p.job));
+                                (job, Some(td), false)
                             }
+                            _ => (None, None, true),
                         }
-                        TaskOutcome::Failed(reason) => {
-                            fail_unit_locked(
-                                &mut st,
-                                &db,
-                                unit,
-                                UnitOutcome::Failed(reason),
-                                ts,
-                                Some(&cb_tx),
-                            );
-                        }
-                        TaskOutcome::Canceled => {
-                            fail_unit_locked(
-                                &mut st,
-                                &db,
-                                unit,
-                                UnitOutcome::Canceled,
-                                ts,
-                                Some(&cb_tx),
-                            );
-                        }
+                    };
+                    if dead {
+                        // unit already terminal; nothing to do
+                    } else if let (Some(job), Some(td)) = (job, task_desc) {
+                        set_state_locked(st, out, unit, UnitState::AgentQueued, Some(ts));
+                        let tid = commander.launch_task(job, td);
+                        st.task_index.insert(tid, unit);
+                    } else {
+                        fail_unit_locked(st, out, unit, UnitOutcome::Canceled, ts, true);
                     }
                 }
-            }
-            SimEvent::StageEnded {
-                stage,
-                time,
-                submitted_at,
-            } => {
-                if let Some((unit, phase, _)) = st.stage_index.remove(&stage) {
-                    st.stage_in_flight = st.stage_in_flight.saturating_sub(1);
-                    let ts = time.as_secs_f64();
-                    let dur = (time - submitted_at).as_secs_f64();
-                    match phase {
-                        StagePhase::In => {
-                            let (job, task_desc, dead) = {
-                                match st.units.get_mut(&unit) {
-                                    Some(u) if !u.state.is_terminal() => {
-                                        u.record.stage_in_done_secs = Some(ts);
-                                        u.record.stage_in_duration_secs = dur;
-                                        let pid = u.pilot;
-                                        let td = make_task_desc(&u.desc);
-                                        let job = st.pilots.get(&pid).and_then(|p| {
-                                            (p.state != PilotState::Done).then_some(p.job)
-                                        });
-                                        (job, Some(td), false)
-                                    }
-                                    _ => (None, None, true),
-                                }
-                            };
-                            if dead {
-                                // unit already terminal; nothing to do
-                            } else if let (Some(job), Some(td)) = (job, task_desc) {
-                                set_state_locked(
-                                    &mut st,
-                                    &db,
-                                    unit,
-                                    UnitState::AgentQueued,
-                                    Some((&cb_tx, ts)),
-                                );
-                                let tid = commander.launch_task(job, td);
-                                st.task_index.insert(tid, unit);
-                            } else {
-                                fail_unit_locked(
-                                    &mut st,
-                                    &db,
-                                    unit,
-                                    UnitOutcome::Canceled,
-                                    ts,
-                                    Some(&cb_tx),
-                                );
-                            }
-                            dispatch_stagers_locked(&mut st, &commander, stagers);
-                        }
-                        StagePhase::Out => {
-                            fail_unit_locked(
-                                &mut st,
-                                &db,
-                                unit,
-                                UnitOutcome::Done,
-                                ts,
-                                Some(&cb_tx),
-                            );
-                            dispatch_stagers_locked(&mut st, &commander, stagers);
-                        }
-                    }
+                StagePhase::Out => {
+                    fail_unit_locked(st, out, unit, UnitOutcome::Done, ts, true);
                 }
             }
+            dispatch_stagers_locked(st, commander, stagers);
         }
     }
 }
@@ -846,11 +815,15 @@ mod tests {
     use hpc_sim::PlatformId;
 
     fn runtime() -> SimRuntime {
+        runtime_with(Duration::ZERO)
+    }
+
+    fn runtime_with(op_latency: Duration) -> SimRuntime {
         SimRuntime::start(SimRuntimeConfig {
             platform: Platform::catalog(PlatformId::TestRig),
             seed: 3,
             stagers: 1,
-            db: DbConfig::default(),
+            db: DbConfig { op_latency },
             recorder: None,
         })
     }
@@ -1068,7 +1041,8 @@ mod tests {
         assert_eq!((rt.records().len(), rt.db().unit_docs()), (4, 4));
         assert_eq!(rt.release_units(|tag| tag != "u3").len(), 3);
         assert_eq!((rt.records().len(), rt.db().unit_docs()), (1, 1));
-        assert_eq!(rt.db().queued_for(p.0), 1);
+        assert!((1..=3).all(|i| rt.db().get(UnitId(i)).is_none()));
+        assert_eq!(rt.db().get(UnitId(4)).map(|d| d.tag).as_deref(), Some("u3"));
     }
 
     #[test]
@@ -1102,8 +1076,11 @@ mod tests {
         assert!(rt.submit_units(p, noop_units(8)).is_err());
         assert!(!rt.is_alive(), "the RTS died mid-insert");
         // Exactly the injected prefix reached the store; nothing was routed.
-        assert_eq!(rt.db().queued_for(p.0), 3);
-        assert!(rt.db().get(UnitId(3)).is_some());
+        assert_eq!(rt.db().unit_docs(), 3);
+        for i in 1..=3 {
+            let doc = rt.db().get(UnitId(i)).expect("inserted");
+            assert_eq!(doc.history, vec![UnitState::New], "unit {i} was routed");
+        }
         assert!(rt.db().get(UnitId(4)).is_none());
     }
 
@@ -1151,5 +1128,190 @@ mod tests {
         .unwrap();
         let recs = rt.records();
         assert_eq!(recs[0].outcome, Some(UnitOutcome::Canceled));
+    }
+
+    /// Noop units `s0..` that stage a small file in and another out.
+    fn staged_units(n: usize) -> Vec<UnitDescription> {
+        let file = StageUnit::single_file(1_000_000);
+        (0..n)
+            .map(|i| {
+                UnitDescription::new(format!("s{i}"), Executable::Noop).with_staging(
+                    crate::api::StagingSpec {
+                        stage_in: Some(file.clone()),
+                        stage_out: Some(file.clone()),
+                    },
+                )
+            })
+            .collect()
+    }
+
+    /// A unit's callbacks, each with its document as read on arrival.
+    type Observed = Vec<(UnitCallback, crate::db::UnitDoc)>;
+
+    /// Run plain and staged units to completion, snapshotting each unit's
+    /// document at the moment its callback arrives. Returns
+    /// `(unit, submit-path state, callbacks)`.
+    fn observe_callbacks(op_latency: Duration) -> Vec<(UnitId, UnitState, Observed)> {
+        let rt = runtime_with(op_latency);
+        let p = ready_pilot(&rt);
+        let plain = rt.submit_units(p, noop_units(6)).unwrap();
+        let staged = rt.submit_units(p, staged_units(6)).unwrap();
+        let mut seen: HashMap<UnitId, Observed> = HashMap::new();
+        let mut terminal = 0;
+        while terminal < plain.len() + staged.len() {
+            let cb = rt
+                .callbacks()
+                .recv_timeout(Duration::from_secs(10))
+                .expect("callback");
+            let doc = rt.db().get(cb.unit).expect("document");
+            terminal += usize::from(cb.outcome.is_some());
+            seen.entry(cb.unit).or_default().push((cb, doc));
+        }
+        let submit_state = |u: &UnitId| {
+            if staged.contains(u) {
+                UnitState::StagingInput
+            } else {
+                UnitState::AgentQueued
+            }
+        };
+        plain
+            .iter()
+            .chain(&staged)
+            .map(|u| (*u, submit_state(u), seen.remove(u).unwrap_or_default()))
+            .collect()
+    }
+
+    /// Each unit's document history is `New`, the transition the
+    /// UnitManager persisted at submission (which no callback announces),
+    /// and then exactly its callback states in callback order: batching the
+    /// Agent's writes reorders nothing.
+    #[test]
+    fn unit_history_is_new_then_callback_states_in_order() {
+        for latency_ms in [0, 5] {
+            let runs = observe_callbacks(Duration::from_millis(latency_ms));
+            for (unit, submit_state, cbs) in runs {
+                let mut expect = vec![UnitState::New, submit_state];
+                expect.extend(cbs.iter().map(|(cb, _)| cb.state));
+                let last_doc = &cbs.last().expect("callbacks").1;
+                assert_eq!(last_doc.history, expect, "{unit:?} at {latency_ms} ms");
+                assert!(last_doc.state.is_terminal());
+                if submit_state == UnitState::StagingInput {
+                    assert_eq!(
+                        &expect[2..],
+                        [
+                            UnitState::AgentQueued,
+                            UnitState::Executing,
+                            UnitState::StagingOutput,
+                            UnitState::Done
+                        ],
+                        "{unit:?} at {latency_ms} ms"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A consumer reading a unit's document when its callback arrives
+    /// always finds that transition persisted: on a terminal callback the
+    /// document is terminal, and on every callback the history already ends
+    /// with the states announced so far.
+    #[test]
+    fn callbacks_never_precede_their_persisted_transition() {
+        for (unit, _, cbs) in observe_callbacks(Duration::from_millis(5)) {
+            for (k, (cb, doc)) in cbs.iter().enumerate() {
+                assert_eq!(
+                    doc.history.get(2 + k),
+                    Some(&cb.state),
+                    "{unit:?}: callback {k} ({:?}) arrived before its write: {:?}",
+                    cb.state,
+                    doc.history
+                );
+                if cb.outcome.is_some() {
+                    assert_eq!(doc.state, cb.state, "{unit:?}: terminal not persisted");
+                }
+            }
+        }
+    }
+
+    /// Regression (one round trip per Agent transition): 16 units used to
+    /// cost 2 submit-path bulk writes plus one write per start and per end,
+    /// 34 round trips and ≥ 160 ms at 5 ms each. Each drained batch of
+    /// events now costs one round trip.
+    #[test]
+    fn agent_writes_each_drained_batch_in_one_round_trip() {
+        let rt = runtime_with(Duration::from_millis(5));
+        let p = ready_pilot(&rt);
+        let before = rt.db().op_count();
+        let t0 = Instant::now();
+        rt.submit_units(p, noop_units(16)).unwrap();
+        let out = drain_until_terminal(&rt, 16);
+        let took = t0.elapsed();
+        assert!(out.values().all(|o| *o == UnitOutcome::Done));
+        let trips = rt.db().op_count() - before;
+        assert!(trips <= 8, "16 units cost {trips} round trips");
+        assert!(took < Duration::from_millis(100), "16 units took {took:?}");
+    }
+
+    /// The Agent pays its DocDb round trips with the state lock dropped, so
+    /// a 50 ms write in flight does not stall readers of RTS state.
+    #[test]
+    fn agent_writes_do_not_hold_the_state_lock() {
+        let rt = runtime_with(Duration::from_millis(50));
+        let p = ready_pilot(&rt);
+        rt.submit_units(p, noop_units(8)).unwrap();
+        let done = AtomicBool::new(false);
+        let worst = std::thread::scope(|s| {
+            let probe = s.spawn(|| {
+                let mut worst = Duration::ZERO;
+                while !done.load(Ordering::Acquire) {
+                    let t0 = Instant::now();
+                    assert_eq!(rt.pilot_state(p), Some(PilotState::Ready));
+                    worst = worst.max(t0.elapsed());
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                worst
+            });
+            drain_until_terminal(&rt, 8);
+            done.store(true, Ordering::Release);
+            probe.join().expect("probe")
+        });
+        assert!(
+            worst < Duration::from_millis(25),
+            "pilot_state took {worst:?}"
+        );
+    }
+
+    /// When a pilot ends, the sweep that cancels its units still in staging
+    /// persists them in one bulk write, not one write per unit.
+    #[test]
+    fn job_ended_sweep_costs_one_round_trip() {
+        let rt = runtime();
+        let p = rt.submit_pilot(&PilotDescription {
+            walltime_secs: 10_000_000,
+            ..PilotDescription::test_rig()
+        });
+        assert!(rt.wait_pilot_ready(p, Duration::from_secs(5)));
+        // 100 PB per unit: the first unit's stage-in never finishes within
+        // the test and the rest wait in the stage queue behind it.
+        let huge = StageUnit::single_file(100_000_000_000_000_000);
+        let descs: Vec<UnitDescription> = (0..8)
+            .map(|i| {
+                UnitDescription::new(format!("u{i}"), Executable::Noop)
+                    .with_staging(crate::api::StagingSpec::input(huge.clone()))
+            })
+            .collect();
+        let ids = rt.submit_units(p, descs).unwrap();
+        let before = rt.db().op_count();
+        rt.cancel_pilot(p);
+        let out = drain_until_terminal(&rt, 8);
+        assert!(out.values().all(|o| *o == UnitOutcome::Canceled));
+        assert_eq!(
+            rt.db().op_count() - before,
+            2,
+            "one bulk write for the 8 lost units, one for the pilot document"
+        );
+        for id in ids {
+            assert_eq!(rt.db().get(id).unwrap().state, UnitState::Canceled);
+        }
     }
 }

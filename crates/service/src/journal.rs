@@ -428,6 +428,9 @@ mod tests {
 
     #[test]
     fn round_trip_lifecycles() {
+        // Appends hit the journal failpoints: stay out of the armed window
+        // of `journal_failpoints_fire_before_the_write`.
+        let _guard = entk_fail::scenario();
         let path = tmp("round-trip");
         let _ = std::fs::remove_file(&path);
         let j = ServiceJournal::open(&path).unwrap();
@@ -485,6 +488,9 @@ mod tests {
 
     #[test]
     fn torn_tail_is_tolerated_and_repaired_on_open() {
+        // Appends hit the journal failpoints: stay out of the armed window
+        // of `journal_failpoints_fire_before_the_write`.
+        let _guard = entk_fail::scenario();
         let path = tmp("torn");
         let _ = std::fs::remove_file(&path);
         let j = ServiceJournal::open(&path).unwrap();

@@ -64,7 +64,6 @@ enum TaskPhase {
     Queued,
     Launching, // cores allocated, launcher/env-setup in progress
     Running,
-    Terminal,
 }
 
 struct Task {
@@ -252,10 +251,9 @@ impl World {
         let Some(task) = self.tasks.get(&id) else {
             return;
         };
+        let job = task.job;
         match task.phase {
-            TaskPhase::Terminal => {}
             TaskPhase::Queued => {
-                let job = task.job;
                 if let Some(j) = self.jobs.get_mut(&job) {
                     j.queued.retain(|t| *t != id);
                 }
@@ -263,10 +261,9 @@ impl World {
             }
             TaskPhase::Launching | TaskPhase::Running => {
                 // Free resources now; the stale TaskFinish/TaskSpawned event
-                // will see the terminal phase and be ignored.
+                // will find the task gone and be ignored.
                 self.release_task_resources(id);
                 self.finish_task(id, TaskOutcome::Canceled);
-                let job = self.tasks[&id].job;
                 self.try_schedule_tasks(job);
             }
         }
@@ -668,15 +665,13 @@ impl World {
         }
     }
 
-    /// Transition a task to Terminal and emit its TaskEnded event.
+    /// Emit a task's TaskEnded event and forget the task, so a long-lived
+    /// pilot's task table holds only its live tasks. Events still due for
+    /// the task find it gone and are ignored.
     fn finish_task(&mut self, id: TaskId, outcome: TaskOutcome) {
-        let Some(task) = self.tasks.get_mut(&id) else {
+        let Some(task) = self.tasks.remove(&id) else {
             return;
         };
-        if task.phase == TaskPhase::Terminal {
-            return;
-        }
-        task.phase = TaskPhase::Terminal;
         self.outbox.push(SimEvent::TaskEnded {
             task: id,
             time: self.now,
@@ -1024,6 +1019,29 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    /// Regression (unbounded task table): finished tasks stayed in the
+    /// table for the pilot's whole life, so a pooled pilot serving one
+    /// session after another grew without bound. Completed, canceled and
+    /// lost tasks all leave it.
+    #[test]
+    fn finished_tasks_leave_the_task_table() {
+        let mut w = world();
+        let job = ready_job(&mut w, 1);
+        for _ in 0..100 {
+            w.launch_task(job, TaskDesc::fixed_secs(10));
+        }
+        let canceled = w.launch_task(job, TaskDesc::fixed_secs(10));
+        w.cancel_task(canceled);
+        w.launch_task(job, TaskDesc::fixed_secs(100_000)); // lost at walltime
+        let events = run_to_quiescence(&mut w);
+        let ended = events
+            .iter()
+            .filter(|e| matches!(e, SimEvent::TaskEnded { .. }))
+            .count();
+        assert_eq!(ended, 102);
+        assert!(w.tasks.is_empty(), "{} tasks left", w.tasks.len());
     }
 
     #[test]
